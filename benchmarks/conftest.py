@@ -1,7 +1,8 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark module regenerates one experiment (E1 -- E12, see DESIGN.md
-and EXPERIMENTS.md).  The experiment logic lives in
+Each benchmark module regenerates one experiment (E1 -- E13; the
+"Experiments <-> paper" table in docs/ARCHITECTURE.md and the README map
+each to its paper section).  The experiment logic lives in
 :mod:`repro.experiments`; the benchmarks run it once under pytest-benchmark
 (to record wall-clock cost), print the regenerated table, and assert the
 *shape* of the result the paper predicts.

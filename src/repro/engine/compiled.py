@@ -90,6 +90,8 @@ class CompiledGibbs:
         "_schedule_cache",
         "_marginal_memo",
         "_conditionals",
+        "_batched_tables",
+        "_greedy_starts",
     )
 
     def __init__(
@@ -118,6 +120,10 @@ class CompiledGibbs:
         self._schedule_cache: Dict[tuple, tuple] = {}
         self._marginal_memo: Dict[tuple, Dict[Value, float]] = {}
         self._conditionals = None
+        # Batched-chain set-up owned by :mod:`repro.runtime.chains`: the
+        # conditional tables and the greedy start codes per pinning.
+        self._batched_tables = None
+        self._greedy_starts: Dict[object, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -170,7 +176,8 @@ class CompiledGibbs:
         schedules depend solely on the scope structure and the pinned domain,
         so the twin *shares* those caches by reference (both sides keep
         warming the same dicts), while the value-dependent state -- fused
-        tables, marginal memo, gathered conditionals -- is rebuilt fresh.
+        tables, marginal memo, gathered conditionals, batched-chain tables
+        and greedy starts -- is rebuilt fresh.
         """
         if len(arrays) != len(self.scopes):
             raise ValueError(
@@ -280,9 +287,10 @@ class CompiledGibbs:
     def __getstate__(self):
         """Ship only the immutable compiled form.
 
-        The memo caches, fused tables and gathered conditionals are all
-        derived state: dropping them keeps worker payloads small and the
-        receiving side rebuilds them lazily on first use.
+        The memo caches, fused tables, gathered conditionals and the
+        batched-chain set-up are all derived state: dropping them keeps
+        worker payloads small and the receiving side rebuilds them lazily
+        on first use.
         """
         return (self.nodes, self.alphabet, self.scopes, self.arrays)
 

@@ -17,8 +17,8 @@ objective and its gradient are *exact* here:
 * the conditionals come from the compiled engine's per-node factor tables,
   evaluated for all samples of one node at once through the same
   :class:`~repro.runtime.chains._BatchedTables` gather the batched sampler
-  uses (zeros in the tables encode hard constraints, so constrained
-  families need no special casing);
+  uses, taken from the model's cache (zeros in the tables encode hard
+  constraints, so constrained families need no special casing);
 * the gradient per (sample, node) is
   ``phi_v(sigma_v) - sum_a p(a | rest) phi_v(a)`` with ``phi_v`` the
   family's local features -- the theta-independent parts of ``phi`` cancel
@@ -76,7 +76,7 @@ def pl_value_and_grad(
         raise ValueError(
             f"dataset has {n} columns but the family has {len(compiled.nodes)} nodes"
         )
-    tables = _BatchedTables(compiled)
+    tables = _BatchedTables.of(compiled)
     rows = np.arange(m)
     value = 0.0
     grad = np.zeros(family.n_parameters)

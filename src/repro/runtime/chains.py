@@ -2,9 +2,10 @@
 
 A :class:`ChainBatch` holds ``n_chains`` independent chains of the same
 instance as a ``(chains, n)`` integer code matrix and advances *all* of
-them per step with a handful of vectorised NumPy gathers into the
-precompiled per-node factor tables -- one batched conditional computation
-instead of a Python loop per chain.  This amortises the interpreter
+them per step with a handful of vectorised NumPy gathers into the model's
+precomputed conditional tables (:class:`_BatchedTables`, cached on the
+compiled model) -- one batched conditional computation instead of a
+Python loop per chain.  This amortises the interpreter
 overhead of the serial chain across the batch, which is where
 E6/E7/E12-style experiments spend their time.
 
@@ -122,22 +123,66 @@ class _Stream:
         return out
 
 
-class _BatchedTables:
-    """Padded per-node gather tables for whole-batch conditional updates.
+#: Largest conditional table a node gets precomputed, in cells
+#: (``q ** (|blanket| + 1)``).  256 tables hardcore and Ising nodes up to
+#: degree 7 and leaves e.g. the 5-colouring of a degree-4 graph (3,125
+#: cells per node) on the factor gather, whose table build would cost more
+#: set-up time and memory than its steps save.
+TABLE_CELL_CAP = 256
+#: Table rows built per vectorised chunk (bounds the build's temporary arrays).
+_TABLE_CHUNK_ROWS = 2048
+#: Cap on cached greedy start vectors per model (distinct pinnings).
+_GREEDY_START_LIMIT = 256
 
-    Flattens the per-node factor entries of
-    :class:`~repro.engine.conditionals.CompiledConditionals` into rectangular
-    arrays: entry ``j`` of node ``v`` contributes the weight table at
-    ``pool[base[v, j] + a * stride0[v, j]]`` for alphabet code ``a``, with the
-    offset determined by the neighbour codes at ``other[v, j, :]`` (strides
-    ``ostride[v, j, :]``).  Missing entries point at an all-ones table (pool
-    offset 0, stride 1, zero neighbour strides), so a single
-    ``multiply.reduce`` over the entry axis reproduces the serial per-factor
-    product exactly -- the padding multiplies by 1.0 *after* the real
-    entries, which leaves the float result bit-identical.
+
+class _BatchedTables:
+    """Per-node conditional tables for whole-batch heat-bath updates.
+
+    Two representations of the same conditionals:
+
+    * **Factor gather.**  The per-node factor entries of
+      :class:`~repro.engine.conditionals.CompiledConditionals` flattened into
+      rectangular arrays: entry ``j`` of node ``v`` contributes the weight
+      table at ``pool[base[v, j] + a * stride0[v, j]]`` for alphabet code
+      ``a``, with the offset determined by the neighbour codes at
+      ``other[v, j, :]`` (strides ``ostride[v, j, :]``).  Missing entries
+      point at an all-ones table (pool offset 0, stride 1, zero neighbour
+      strides), so a single ``multiply.reduce`` over the entry axis
+      reproduces the serial per-factor product exactly -- the padding
+      multiplies by 1.0 *after* the real entries, which leaves the float
+      result bit-identical.
+    * **Tabled cumulative conditionals.**  Every node whose table fits in
+      :data:`TABLE_CELL_CAP` cells (``tabled[v]``) has its cumulative
+      conditional row precomputed for each assignment of its *blanket* --
+      the distinct other nodes of its factors, ``blanket[v, :]``.  The row
+      for the current state sits at ``cumulative[row_base[v] + sum_k
+      codes[blanket[v, k]] * radix[v, k]]`` (``radix[v, k] = q ** k``).
+      The rows are built by :meth:`weights`' own product and ``np.cumsum``
+      on the enumerated blanket codes, so every float is the one the gather
+      would compute: a table lookup is bit-identical to the gather.
+
+    One instance per model is cached on the
+    :class:`~repro.engine.compiled.CompiledGibbs` (:meth:`of`), so it lives
+    and dies with the compiled weights.
     """
 
-    __slots__ = ("q", "pool", "base", "stride0", "other", "ostride", "factorless", "aq")
+    __slots__ = (
+        "q",
+        "pool",
+        "base",
+        "stride0",
+        "other",
+        "ostride",
+        "factorless",
+        "aq",
+        "tabled",
+        "all_tabled",
+        "any_tabled",
+        "blanket",
+        "radix",
+        "row_base",
+        "cumulative",
+    )
 
     def __init__(self, compiled) -> None:
         tables = compiled.conditionals.tables
@@ -172,6 +217,79 @@ class _BatchedTables:
         self.ostride = ostride
         self.factorless = np.array([len(entries) == 0 for entries in tables], dtype=bool)
         self.aq = np.arange(q)
+        self._tabulate()
+
+    @classmethod
+    def of(cls, compiled) -> "_BatchedTables":
+        """The model's cached tables (built on first use).
+
+        Stored on the compiled model, so a reweighted twin, a rebuilt
+        model after ``update_factors`` and an unpickled copy all start
+        without tables and build their own.  Two threads racing on a cold
+        model each build an identical copy; either one is correct.
+        """
+        tables = compiled._batched_tables
+        if tables is None:
+            tables = compiled._batched_tables = cls(compiled)
+        return tables
+
+    def _tabulate(self) -> None:
+        """Precompute the cumulative conditional rows of every node under the cap.
+
+        Row ``r`` of a node's table assigns its blanket the radix-``q``
+        digits of ``r`` (slot ``k`` weighs ``q ** k``).  The rows are built
+        in vectorised chunks: each entry's neighbour codes are read from
+        ``grid`` (every assignment of the widest tabled blanket) at the
+        neighbour's blanket slot, then :meth:`_product` and ``np.cumsum``
+        run exactly as on the gather path.  A zero-total row is stored as
+        is; :meth:`sample_codes` raises only when a chain reaches it.
+        """
+        q = self.q
+        n = len(self.other)
+        # Blankets: each node's distinct neighbours, ascending; ``n`` pads.
+        ids = np.where(self.ostride != 0, self.other, n).reshape(n, -1)
+        ids.sort(axis=1)
+        ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = n
+        ids.sort(axis=1)
+        sizes = (ids < n).sum(axis=1)
+        largest = int(sizes.max(initial=0))
+        fits = [q ** (size + 1) <= TABLE_CELL_CAP for size in range(largest + 1)]
+        tabled = np.array(fits, dtype=bool)[sizes]
+        # At least one slot, so an all-empty blanket still indexes ``grid``.
+        width = max(int(sizes[tabled].max(initial=0)), 1)
+        kept = np.where(tabled[:, None], ids[:, :width], n)
+        powers = np.array([q**k for k in range(width + 1)], dtype=np.int64)
+        self.blanket = np.where(kept < n, kept, 0)
+        self.radix = np.where(kept < n, powers[:width], 0)
+        rows_per = np.where(tabled, powers[np.minimum(sizes, width)], 0)
+        self.row_base = np.cumsum(rows_per) - rows_per
+        self.tabled = tabled
+        self.all_tabled = bool(tabled.all())
+        self.any_tabled = bool(tabled.any())
+        # Blanket slot of each entry neighbour (padding and untabled read 0).
+        slot = (kept[:, None, None, :] == self.other[..., None]).argmax(axis=3)
+        # ``grid[r * width + k]``: digit ``k`` of row ``r``.
+        grid = np.indices((q,) * width).reshape(width, -1)[::-1].T.ravel()
+        variables = np.repeat(np.arange(n), rows_per)
+        local = np.arange(len(variables)) - self.row_base[variables]
+        self.cumulative = np.empty((len(variables), q))
+        for lo in range(0, len(variables), _TABLE_CHUNK_ROWS):
+            rows = slice(lo, lo + _TABLE_CHUNK_ROWS)
+            chunk = variables[rows]
+            neighbour_codes = grid.take(
+                local[rows, None, None] * width + slot.take(chunk, axis=0)
+            )
+            weights = self._product(neighbour_codes, chunk)
+            self.cumulative[rows] = np.cumsum(weights, axis=1)
+
+    def _product(self, neighbour_codes: np.ndarray, variables: np.ndarray) -> np.ndarray:
+        """Per-factor gather and product, given each entry's neighbour codes."""
+        offsets = self.base.take(variables, axis=0) + (
+            neighbour_codes * self.ostride.take(variables, axis=0)
+        ).sum(axis=2)
+        stride0 = self.stride0.take(variables, axis=0)
+        indices = offsets[:, :, None] + self.aq * stride0[:, :, None]
+        return np.multiply.reduce(self.pool.take(indices), axis=1)
 
     def weights(
         self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
@@ -182,14 +300,36 @@ class _BatchedTables:
         ``variables[i]`` the node being resampled; the result row ``i`` equals
         the serial ``weights_by_codes(variables[i], codes[rows[i]])``.
         """
-        base = self.base[variables]  # (M, F)
-        stride0 = self.stride0[variables]  # (M, F)
-        other = self.other[variables]  # (M, F, K)
-        ostride = self.ostride[variables]  # (M, F, K)
-        neighbour_codes = codes[rows[:, None, None], other]
-        offsets = base + (neighbour_codes * ostride).sum(axis=2)
-        indices = offsets[:, :, None] + self.aq * stride0[:, :, None]
-        return np.multiply.reduce(self.pool[indices], axis=1)
+        columns = self.other.take(variables, axis=0)
+        neighbour_codes = codes.take(rows[:, None, None] * codes.shape[1] + columns)
+        return self._product(neighbour_codes, variables)
+
+    def _cumulative(
+        self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
+    ) -> np.ndarray:
+        """Cumulative conditional rows: table lookups where tabled, else gathers."""
+        if self.all_tabled:
+            return self._lookup(codes, rows, variables)
+        if not self.any_tabled:
+            return np.cumsum(self.weights(codes, rows, variables), axis=1)
+        tabled = self.tabled[variables]
+        gathered = ~tabled
+        cumulative = np.empty((len(variables), self.q))
+        cumulative[tabled] = self._lookup(codes, rows[tabled], variables[tabled])
+        cumulative[gathered] = np.cumsum(
+            self.weights(codes, rows[gathered], variables[gathered]), axis=1
+        )
+        return cumulative
+
+    def _lookup(
+        self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
+    ) -> np.ndarray:
+        """Tabled rows: one radix dot over the blanket codes and one gather."""
+        columns = self.blanket.take(variables, axis=0)
+        blanket_codes = codes.take(rows[:, None] * codes.shape[1] + columns)
+        digits = blanket_codes * self.radix.take(variables, axis=0)
+        index = self.row_base.take(variables) + digits @ np.ones(digits.shape[1], np.int64)
+        return self.cumulative.take(index, axis=0)
 
     def sample_codes(
         self,
@@ -202,25 +342,40 @@ class _BatchedTables:
         """Batched heat-bath resample: the new code for each (row, variable).
 
         THE bit-identity-critical inner loop, shared by every kernel's
-        batched step (Glauber, LubyGlauber rounds, the scan kernels):
-        gather the conditional weights, cumulative-sum them in serial
-        order, and pick the first code whose cumulative weight covers
-        ``points[i] * total`` -- the strict ``<`` comparison and the
-        ``q - 1`` clamp reproduce the serial :func:`sample_code` exactly.
-        A non-positive total raises the shared stuck-node error (padded
-        factorless rows total exactly ``q``, so they can never trip it;
-        callers that need the serial factorless *fast path* -- uniform
+        batched step (Glauber, LubyGlauber rounds, the scan kernels): take
+        each pair's cumulative conditional row -- a table lookup for tabled
+        nodes, the factor gather plus ``cumsum`` otherwise, split per row
+        when a step mixes both -- and pick the first code whose cumulative
+        weight covers ``points[i] * total``.  The strict ``<`` comparison
+        and the ``q - 1`` clamp reproduce the serial :func:`sample_code`
+        exactly.  A non-positive total raises the shared stuck-node error
+        (padded factorless rows total exactly ``q``, so they can never trip
+        it; callers that need the serial factorless *fast path* -- uniform
         resample via truncation -- handle it before or after this call).
         """
-        weights = self.weights(codes, rows, variables)
-        cumulative = np.cumsum(weights, axis=1)
+        cumulative = self._cumulative(codes, rows, variables)
         totals = cumulative[:, -1]
-        if not np.all(totals > 0.0):
+        if not (totals > 0.0).all():
             stuck = int(np.flatnonzero(totals <= 0.0)[0])
             raise stuck_node_error(compiled, variables[stuck])
-        return np.minimum(
-            np.sum(cumulative < (points * totals)[:, None], axis=1), self.q - 1
+        return np.minimum((cumulative < (points * totals)[:, None]).sum(axis=1), self.q - 1)
+
+
+def _greedy_start(instance: SamplingInstance, compiled) -> np.ndarray:
+    """The greedy feasible start as codes, cached on the model per pinning."""
+    starts = compiled._greedy_starts
+    start = starts.get(instance.pinning)
+    if start is None:
+        configuration = greedy_feasible_configuration(instance)
+        start = np.array(
+            [compiled.symbol_index[configuration[node]] for node in compiled.nodes],
+            dtype=np.int64,
         )
+        start.setflags(write=False)
+        if len(starts) >= _GREEDY_START_LIMIT:
+            starts.clear()
+        starts[instance.pinning] = start
+    return start
 
 
 class ChainBatch:
@@ -245,7 +400,8 @@ class ChainBatch:
         sampler called with ``seed=seeds[c]``.
     initial:
         Optional shared initial configuration (default: the deterministic
-        greedy feasible configuration, exactly like the serial samplers).
+        greedy feasible configuration, exactly like the serial samplers;
+        cached on the compiled model per pinning).
     initial_codes:
         Optional ``(chains, n)`` integer code matrix giving each chain its
         *own* starting state (the resume path of :class:`ChainState`);
@@ -285,7 +441,7 @@ class ChainBatch:
         self.n_chains = len(seeds)
         compiled = instance.distribution.compiled_engine()
         self.compiled = compiled
-        self.tables = _BatchedTables(compiled)
+        self.tables = _BatchedTables.of(compiled)
         if initial_codes is not None:
             if initial is not None:
                 raise ValueError("pass initial or initial_codes, not both")
@@ -297,17 +453,14 @@ class ChainBatch:
                 )
             #: The ``(chains, n)`` state matrix of alphabet codes.
             self.codes = initial_codes.copy()
-        else:
-            configuration = (
-                dict(initial)
-                if initial is not None
-                else greedy_feasible_configuration(instance, engine=engine)
-            )
+        elif initial is not None:
             start = np.array(
-                [compiled.symbol_index[configuration[node]] for node in compiled.nodes],
+                [compiled.symbol_index[initial[node]] for node in compiled.nodes],
                 dtype=np.int64,
             )
             self.codes = np.tile(start, (self.n_chains, 1))
+        else:
+            self.codes = np.tile(_greedy_start(instance, compiled), (self.n_chains, 1))
         self.rngs = [np.random.default_rng(chain_seed) for chain_seed in seeds]
         self._streams: Optional[List[_Stream]] = None
         self._kind: Optional[str] = None
@@ -422,7 +575,7 @@ class ChainBatch:
         while the model's factor *weights* move every gradient step.  The
         structure (nodes, alphabet, free set) is fixed, so the live chain
         state transfers verbatim: the returned batch targets ``instance``,
-        rebuilds the weight-dependent gather tables, and *adopts* this
+        takes that model's own (weight-dependent) tables, and *adopts* this
         batch's code matrix, per-chain generators, buffered streams and
         kernel scratch by reference -- continuing the exact RNG streams, so
         resuming on the twin is bit-identical to having run on it all along.
@@ -473,9 +626,11 @@ class _PackedLayout:
     groups' chains as one padded ``(total_chains, n_max)`` code matrix:
 
     * merged gather tables -- the per-group :class:`_BatchedTables` pools
-      concatenated with rebased offsets, node axes stacked so the *global*
-      variable id ``node_offset[g] + local_id`` selects group ``g``'s
-      table row.  Neighbour columns (``other``) stay **column-local**:
+      and cumulative tables concatenated with rebased pool and row
+      offsets, node axes stacked so the *global* variable id
+      ``node_offset[g] + local_id`` selects group ``g``'s table row.
+      Neighbour and blanket columns (``other``, ``blanket``) stay
+      **column-local**:
       each packed row belongs to exactly one group whose variables occupy
       columns ``[0, n_g)``, so a row's gathers never cross into padding.
       Per-group padding entries multiply by 1.0 after the real entries,
@@ -511,41 +666,40 @@ class _PackedLayout:
             raise ValueError("a fused packed layout requires one alphabet size")
         q = qs.pop()
         tables_list = [group.tables for group in groups]
-        max_entries = max(t.base.shape[1] for t in tables_list)
-        max_others = max(t.other.shape[2] for t in tables_list)
-        pools: List[np.ndarray] = []
-        bases: List[np.ndarray] = []
-        stride0s: List[np.ndarray] = []
-        others: List[np.ndarray] = []
-        ostrides: List[np.ndarray] = []
-        factorless: List[np.ndarray] = []
-        pool_offset = 0
-        for t in tables_list:
-            n, entries = t.base.shape
-            base = np.full((n, max_entries), pool_offset, dtype=np.int64)
-            base[:, :entries] = t.base + pool_offset
-            stride0 = np.ones((n, max_entries), dtype=np.int64)
-            stride0[:, :entries] = t.stride0
-            other = np.zeros((n, max_entries, max_others), dtype=np.int64)
-            other[:, :entries, : t.other.shape[2]] = t.other
-            ostride = np.zeros((n, max_entries, max_others), dtype=np.int64)
-            ostride[:, :entries, : t.ostride.shape[2]] = t.ostride
-            pools.append(t.pool)
-            bases.append(base)
-            stride0s.append(stride0)
-            others.append(other)
-            ostrides.append(ostride)
-            factorless.append(t.factorless)
-            pool_offset += len(t.pool)
+        entries = max(t.base.shape[1] for t in tables_list)
+        others = max(t.other.shape[2] for t in tables_list)
+        width = max(t.blanket.shape[1] for t in tables_list)
+        pool_offsets = np.cumsum([0] + [len(t.pool) for t in tables_list])
+        row_offsets = np.cumsum([0] + [len(t.cumulative) for t in tables_list])
+
+        def stack(name, trailing, fill=0, shifts=None):
+            """One table array over all groups, each padded to ``trailing``."""
+            parts = []
+            shifts = [0] * len(tables_list) if shifts is None else shifts
+            for t, shift in zip(tables_list, shifts):
+                array = getattr(t, name) + shift
+                padded = np.full((len(array),) + trailing, fill + shift, dtype=np.int64)
+                padded[(slice(None),) + tuple(map(slice, array.shape[1:]))] = array
+                parts.append(padded)
+            return np.concatenate(parts)
+
         merged = _BatchedTables.__new__(_BatchedTables)
         merged.q = q
-        merged.pool = np.concatenate(pools)
-        merged.base = np.concatenate(bases, axis=0)
-        merged.stride0 = np.concatenate(stride0s, axis=0)
-        merged.other = np.concatenate(others, axis=0)
-        merged.ostride = np.concatenate(ostrides, axis=0)
-        merged.factorless = np.concatenate(factorless)
         merged.aq = np.arange(q)
+        merged.pool = np.concatenate([t.pool for t in tables_list])
+        merged.cumulative = np.concatenate([t.cumulative for t in tables_list])
+        # Padding entries point at each group's own all-ones pool table.
+        merged.base = stack("base", (entries,), shifts=pool_offsets)
+        merged.stride0 = stack("stride0", (entries,), fill=1)
+        merged.other = stack("other", (entries, others))
+        merged.ostride = stack("ostride", (entries, others))
+        merged.blanket = stack("blanket", (width,))
+        merged.radix = stack("radix", (width,))
+        merged.row_base = stack("row_base", (), shifts=row_offsets)
+        merged.factorless = np.concatenate([t.factorless for t in tables_list])
+        merged.tabled = np.concatenate([t.tabled for t in tables_list])
+        merged.all_tabled = bool(merged.tabled.all())
+        merged.any_tabled = bool(merged.tabled.any())
         self.tables = merged
         self.nodes = tuple(
             node for group in groups for node in group.compiled.nodes
