@@ -42,9 +42,9 @@ chains of a hardcore instance, one sample per chain):
   bit-identical to the kernel's serial chains before any timing; the
   recorded speedup is the cross-model batching win the serving layer's
   ``PackedCoalescer`` rides.
-* ``streaming_ball_shards`` -- the same E5-style workload on the barrier
-  API (``shard_padded_ball_marginals``, which returns nothing until every
-  shard lands) vs the streaming API (``stream_padded_ball_marginals``,
+* ``streaming_ball_shards`` -- the same E5-style workload drained as a
+  barrier (``dict(stream_padded_ball_marginals(...))``, which returns
+  nothing until every shard lands) vs the streaming API (``stream_padded_ball_marginals``,
   which yields each shard as its future completes).  The headline number is
   *time to first shard result*: the streaming consumer starts measuring
   while the remaining balls are still compiling, so its first result must
@@ -98,10 +98,8 @@ from repro.graphs import cycle_graph, random_tree
 from repro.models import hardcore_model
 from repro.runtime import (
     Runtime,
-    batched_glauber_sample,
-    batched_luby_glauber_sample,
+    batched_kernel_sample,
     chain_seed_sequences,
-    shard_padded_ball_marginals,
     stream_padded_ball_marginals,
 )
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
@@ -128,7 +126,7 @@ def _luby_chain_workload(chains: int = 64, rounds: int = 60, size: int = 48):
             luby_glauber_sample(instance, rounds, seed=seed)
 
     def batched() -> None:
-        batched_luby_glauber_sample(instance, rounds, seeds=seeds)
+        batched_kernel_sample("luby-glauber", instance, rounds, seeds=seeds)
 
     return {"chains": chains, "rounds": rounds, "n": size}, serial, batched
 
@@ -143,7 +141,7 @@ def _glauber_chain_workload(chains: int = 256, steps: int = 1200, size: int = 64
             glauber_sample(instance, steps, seed=seed)
 
     def batched() -> None:
-        batched_glauber_sample(instance, steps, seeds=seeds)
+        batched_kernel_sample("glauber", instance, steps, seeds=seeds)
 
     return {"chains": chains, "steps": steps, "n": size}, serial, batched
 
@@ -403,8 +401,10 @@ def _process_shard_workload(
             node: padded_ball_marginal(instance, node, radius) for node in nodes
         }
         distribution.ball_cache().clear()
-        sharded_result = shard_padded_ball_marginals(
-            instance, nodes, radius, n_workers=n_workers, transport=transport
+        sharded_result = dict(
+            stream_padded_ball_marginals(
+                instance, nodes, radius, n_workers=n_workers, transport=transport
+            )
         )
         assert sharded_result == serial_reference, (
             f"transport={transport!r} shard diverges from the serial loop"
@@ -417,8 +417,10 @@ def _process_shard_workload(
 
     def sharded() -> None:
         distribution.ball_cache().clear()
-        shard_padded_ball_marginals(
-            instance, nodes, radius, n_workers=n_workers, transport=transport
+        dict(
+            stream_padded_ball_marginals(
+                instance, nodes, radius, n_workers=n_workers, transport=transport
+            )
         )
 
     shape = {
@@ -441,20 +443,19 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
     (serializing and enqueueing the chunk payloads), compute (waiting for
     the workers' chunk results) and merge (adopting the shipped
     balls/extras/memos into the parent cache and building the result
-    dict).  The instrumented pipeline is the same machinery
-    ``shard_padded_ball_marginals`` drives, and every instrumented run is
-    asserted bit-identical to the serial loop before its timings count.
+    dict).  The instrumented pipeline is the same ``PoolDispatcher`` the
+    streaming driver behind ``stream_padded_ball_marginals`` uses, and
+    every instrumented run is asserted bit-identical to the serial loop
+    before its timings count.
     """
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import as_completed
 
     from repro.inference.ssm_inference import padded_ball_marginal
     from repro.runtime.shards import (
         MEMO_DELTA_CAP,
         InstanceSpec,
-        _ball_marginal_chunk,
+        PoolDispatcher,
         _chunk_tasks,
-        _install_worker_spec,
-        _spec_wire,
     )
 
     distribution = hardcore_model(random_tree(size, seed=2), fugacity=1.0)
@@ -470,39 +471,37 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
         spec = InstanceSpec.from_instance(instance)
         chunks = _chunk_tasks(tasks, n_workers, None)
         start = time.perf_counter()
-        wire_spec, pack = _spec_wire(spec, transport)
+        pool = PoolDispatcher(spec, min(n_workers, len(chunks)), transport)
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(chunks)),
-                initializer=_install_worker_spec,
-                initargs=(wire_spec, None),
-            ) as pool:
-                # Per-worker warm-up round trip (best effort): forces the
-                # worker processes to start and run the initializer before
-                # any real work, so spec transfer lands in this phase.
-                for future in [
-                    pool.submit(_ball_marginal_chunk, [], MEMO_DELTA_CAP)
-                    for _ in range(n_workers)
-                ]:
-                    future.result()
-                spawned = time.perf_counter()
-                futures = [
-                    pool.submit(_ball_marginal_chunk, chunk, MEMO_DELTA_CAP)
-                    for chunk in chunks
-                ]
-                mapped = time.perf_counter()
-                payloads = [future.result() for future in as_completed(futures)]
-                computed = time.perf_counter()
-                cache = instance.distribution.ball_cache()
-                results: Dict[object, Dict[object, float]] = {}
-                for marginals, balls, extras, memos in payloads:
-                    cache.adopt(balls=balls, extras=extras, memos=memos)
-                    for (center, _), marginal in marginals.items():
-                        results[center] = marginal
-                merged = time.perf_counter()
+            # Per-worker warm-up round trip (best effort): forces the
+            # worker processes to start and run the initializer before any
+            # real work, so spec transfer lands in this phase.
+            for future in [
+                pool.submit_task(
+                    "ball_marginals", {"tasks": [], "memo_cap": MEMO_DELTA_CAP}
+                )
+                for _ in range(n_workers)
+            ]:
+                future.result()
+            spawned = time.perf_counter()
+            futures = [
+                pool.submit_task(
+                    "ball_marginals", {"tasks": chunk, "memo_cap": MEMO_DELTA_CAP}
+                )
+                for chunk in chunks
+            ]
+            mapped = time.perf_counter()
+            payloads = [future.result() for future in as_completed(futures)]
+            computed = time.perf_counter()
+            cache = instance.distribution.ball_cache()
+            results: Dict[object, Dict[object, float]] = {}
+            for marginals, balls, extras, memos in payloads:
+                cache.adopt(balls=balls, extras=extras, memos=memos)
+                for (center, _), marginal in marginals.items():
+                    results[center] = marginal
+            merged = time.perf_counter()
         finally:
-            if pack is not None:
-                pack.release()
+            pool.close()
         assert results == serial_reference, (
             f"instrumented {transport!r} shard diverges from the serial loop"
         )
@@ -589,7 +588,7 @@ def _streaming_shard_workload(size: int = 40, radius: int = 3, n_workers: int = 
 
     def barrier() -> None:
         distribution.ball_cache().clear()
-        shard_padded_ball_marginals(instance, nodes, radius, n_workers=n_workers)
+        dict(stream_padded_ball_marginals(instance, nodes, radius, n_workers=n_workers))
 
     def streaming() -> tuple:
         distribution.ball_cache().clear()
@@ -643,7 +642,11 @@ def _cluster_shard_workload(
 
     def process() -> None:
         distribution.ball_cache().clear()
-        shard_padded_ball_marginals(instance, nodes, radius, n_workers=process_workers)
+        dict(
+            stream_padded_ball_marginals(
+                instance, nodes, radius, n_workers=process_workers
+            )
+        )
 
     def cluster() -> None:
         distribution.ball_cache().clear()

@@ -285,7 +285,7 @@ python - <<'PY'
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, path_graph
 from repro.models import hardcore_model
-from repro.runtime import Runtime, chain_seed_sequences
+from repro.runtime import Runtime, chain_seed_sequences, executor
 from repro.runtime.shm import leaked_dev_shm_segments, shm_available
 
 before = leaked_dev_shm_segments()
@@ -296,11 +296,11 @@ serial = Runtime("serial", n_chains=4)
 reference = serial.run_chains("glauber", instance, 25, seed=7)
 
 # The shared-memory transport: a real 2-worker pool, the InstanceSpec and
-# result matrix crossing as segment descriptors (inline_threshold=0 so
-# this small workload exercises the pool, not the in-process guard).
-with Runtime(
-    "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0
-) as runtime:
+# result matrix crossing as segment descriptors (INLINE_CHAIN_UPDATES
+# patched to 0 so this small workload exercises the pool, not the
+# in-process guard).
+executor.INLINE_CHAIN_UPDATES = 0
+with Runtime("process", n_chains=4, n_workers=2, transport="shm") as runtime:
     shipped = runtime.run_chains("glauber", instance, 25, seed=7)
 assert shipped == reference, "shm transport diverges from the serial loop"
 

@@ -37,14 +37,18 @@ completion.  A coordinator dropped without :meth:`shutdown` stays
 garbage-collectable (its service threads hold only weak references) and a
 finalizer closes its sockets.
 
-The streaming API mirrors :mod:`repro.runtime.shards`:
-:meth:`ClusterCoordinator.stream_ball_marginal_tasks` chunks the tasks,
-fans the chunks out, and merges each arriving payload into the parent's
-:class:`~repro.engine.cache.BallCache` (``adopt``) before yielding, so
-the cluster backend drops into every consumer the process backend
-already has (SSM engines, the E5 radius sweep, ``warm_ball_cache``).
-Abandoning a stream cancels its pending tasks; shutting the coordinator
-down cancels everything and closes the sockets, idempotently.
+The spec-bound work runs through the same drivers as the process backend:
+:meth:`ClusterCoordinator.stream_ball_marginal_tasks` and
+:meth:`ClusterCoordinator.chain_samples` hand this coordinator, as the
+dispatcher, to :func:`repro.runtime.shards.stream_ball_marginal_tasks`
+and :func:`repro.runtime.shards.run_chain_blocks`, which chunk the work,
+fan it out through :meth:`ClusterCoordinator.submit_task` and merge each
+arriving payload into the parent's :class:`~repro.engine.cache.BallCache`
+(``adopt``) before yielding -- so the cluster backend drops into every
+consumer the process backend already has (SSM engines, the E5 radius
+sweep, ``warm_ball_cache``).  Abandoning a stream cancels its pending
+tasks; shutting the coordinator down cancels everything and closes the
+sockets, idempotently.
 """
 
 from __future__ import annotations
@@ -67,13 +71,8 @@ from repro.cluster import protocol
 from repro.gibbs.instance import SamplingInstance
 
 _log = obs.get_logger("cluster.coordinator")
-from repro.runtime.shards import (
-    MEMO_DELTA_CAP,
-    InstanceSpec,
-    _LEGACY_ALIAS_BY_KERNEL,
-    _LEGACY_CHAIN_KINDS,
-    _chunk_tasks,
-)
+from repro.runtime import shards
+from repro.runtime.shards import MEMO_DELTA_CAP, InstanceSpec
 
 Node = Hashable
 Value = Hashable
@@ -455,11 +454,16 @@ class ClusterCoordinator:
     def _handle_frame(self, worker: _Worker, kind: int, payload) -> bool:
         """Process one received frame; ``False`` once the worker is dead."""
         if kind == protocol.RESULT:
-            # Workers that were handed a trace context append their span
-            # events as a third element; legacy workers send the 2-tuple.
-            task_id, result = payload[0], payload[1]
-            if len(payload) > 2:
-                obs.absorb_events(payload[2])
+            # ``events`` are the worker's span events for a traced task,
+            # ``None`` for an untraced one.
+            try:
+                task_id, result, events = payload
+            except (TypeError, ValueError):
+                self._worker_died(
+                    worker, protocol.ProtocolError("malformed RESULT payload")
+                )
+                return False
+            obs.absorb_events(events)
             task = self._take_inflight(worker, task_id)
             if task is not None:
                 self._resolve(task, result=result)
@@ -857,16 +861,7 @@ class ClusterCoordinator:
                 newcomer=f"{newcomer.address[0]}:{newcomer.address[1]}",
                 stolen=len(stolen),
             )
-        for worker, task_ids in notify.items():
-            try:
-                worker.send(protocol.TASK, (None, "cancel", task_ids))
-            except (OSError, protocol.ProtocolError) as error:
-                # Its reader will notice the dead connection itself.
-                obs.log_event(
-                    _log, logging.DEBUG, "cluster.cancel_notify_failed",
-                    address=f"{worker.address[0]}:{worker.address[1]}",
-                    error=error,
-                )
+        self._send_cancels(notify)
         for task in stolen:
             try:
                 self._dispatch(task)
@@ -887,8 +882,9 @@ class ClusterCoordinator:
         When tracing is on and ``args`` is a keyword dict (every spec-bound
         kind), the current trace context rides along as a versioned
         ``_obs`` entry inside the pickled payload -- covered by the frame
-        HMAC when authentication is on, ignored by workers that predate
-        it.
+        HMAC when authentication is on.  This is the dispatch face the
+        shared drivers of :mod:`repro.runtime.shards` drive, together with
+        :meth:`spec_for`, :meth:`discard` and :attr:`live_worker_count`.
         """
         if spec is not None and isinstance(args, dict) and "_obs" not in args:
             wire_ctx = obs.wire_context()
@@ -903,7 +899,7 @@ class ClusterCoordinator:
         """A fresh spec id (spec payloads are identified, not hashed)."""
         return next(self._spec_ids)
 
-    def _spec_for(self, instance: SamplingInstance) -> Tuple[int, InstanceSpec]:
+    def spec_for(self, instance: SamplingInstance) -> Tuple[int, InstanceSpec]:
         """The ``(spec_id, spec)`` pair for an instance (snapshot memoised).
 
         Instances are immutable (distribution + pinning), so one snapshot
@@ -917,7 +913,7 @@ class ClusterCoordinator:
                 self._spec_registry[instance] = entry
             return entry
 
-    def _discard(self, futures: Iterable[Future]) -> None:
+    def discard(self, futures: Iterable[Future]) -> None:
         """Cancel pending futures, worker-side included.
 
         The tail of every streaming generator: pending tasks are cancelled
@@ -936,7 +932,12 @@ class ClusterCoordinator:
                     if id(task.future) in pending:
                         worker.inflight.pop(task_id, None)
                         reclaimed.setdefault(worker, []).append(task_id)
-        for worker, task_ids in reclaimed.items():
+        self._send_cancels(reclaimed)
+
+    @staticmethod
+    def _send_cancels(task_ids_by_worker: Dict[_Worker, List[int]]) -> None:
+        """Best-effort ``cancel`` directives, so workers skip queued tasks."""
+        for worker, task_ids in task_ids_by_worker.items():
             if not worker.alive:
                 continue
             try:
@@ -1027,70 +1028,13 @@ class ClusterCoordinator:
         try:
             for index, item in enumerate(items):
                 futures[self.submit(function, item)] = index
-        except BaseException:
-            self._discard(futures)  # a failed submission abandons its batch
-            raise
-        try:
             for future in as_completed(futures):
                 yield futures[future], future.result()
         finally:
-            self._discard(futures)
+            # Also reached by a failed submission, which abandons its batch.
+            self.discard(futures)
 
-    # -- spec-bound streaming (the Theorem 5.1 workloads) ---------------
-    def _stream_chunked_shards(
-        self,
-        instance: SamplingInstance,
-        tasks: Sequence,
-        chunk_size: Optional[int],
-        kind: str,
-        make_payload,
-        adopt,
-    ) -> Iterator:
-        """The shared streaming skeleton of the spec-bound task kinds.
-
-        Chunks the tasks, fans the chunks out (spec shipped once per
-        connection), and -- as each payload completes -- merges it into the
-        instance's ball cache via ``adopt(cache, payload)`` (which returns
-        the items to yield).  A failed chunk raises a chained
-        ``RuntimeError`` naming it; abandoning the generator cancels the
-        pending chunks coordinator- and worker-side.
-        """
-        spec = self._spec_for(instance)
-        cache = instance.distribution.ball_cache()
-        workers = max(1, self.live_worker_count)
-        if chunk_size is None and tasks:
-            # Scale chunk granularity with the fleet, but cap the chunk
-            # COUNT: the pool default (4 chunks per worker) shrinks chunks
-            # linearly with worker count, and over TCP the fixed per-chunk
-            # dispatch cost (frame + payload round-trip) then dominates --
-            # the measured 4-worker regression in BENCH_runtime.json.  A
-            # few chunks per worker is plenty of load-balancing slack;
-            # beyond ~2x the fleet (floor 8, so small fleets keep today's
-            # granularity) more chunks only buy more round-trips.
-            target_chunks = min(4 * workers, max(2 * workers, 8))
-            chunk_size = -(-len(tasks) // target_chunks)
-        chunks = _chunk_tasks(tasks, workers, chunk_size)
-        futures = {}
-        try:
-            for chunk in chunks:
-                payload = make_payload(spec[0], list(chunk))
-                futures[self.submit_task(kind, payload, spec=spec)] = chunk
-        except BaseException:
-            self._discard(futures)  # a failed submission abandons its batch
-            raise
-        try:
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except (ClusterError, CancelledError) as error:
-                    raise RuntimeError(
-                        f"cluster ball shard failed on chunk {futures[future]!r}: "
-                        f"{error}"
-                    ) from error
-                yield from adopt(cache, result)
-        finally:
-            self._discard(futures)
-
+    # -- spec-bound work: entry points over the shared drivers ----------
     def stream_ball_marginal_tasks(
         self,
         instance: SamplingInstance,
@@ -1100,35 +1044,16 @@ class ClusterCoordinator:
     ) -> Iterator[Tuple[BallKey, Dict[Value, float]]]:
         """Stream Theorem 5.1 marginals for ``(center, radius)`` tasks.
 
-        The cluster counterpart of
-        :func:`repro.runtime.shards.stream_ball_marginal_tasks`: tasks are
-        chunked, the chunks fan out over the workers (spec shipped once
-        per connection), and each arriving payload's compiled balls,
-        boundary extensions and capped marginal-memo deltas are merged
-        into the parent's ball cache before its marginals are yielded in
-        completion order.  Worker death mid-stream requeues transparently;
-        per-ball values are bit-identical to the serial loop.
+        :func:`repro.runtime.shards.stream_ball_marginal_tasks` with this
+        coordinator as the dispatcher: the chunks fan out over the workers
+        (spec shipped once per connection), and each arriving payload's
+        compiled balls, boundary extensions and capped marginal-memo deltas
+        are merged into the parent's ball cache before its marginals are
+        yielded in completion order.  Worker death mid-stream requeues
+        transparently; per-ball values are bit-identical to the serial loop.
         """
-        tasks = list(tasks)
-        if not tasks:
-            return
-
-        def adopt(cache, payload):
-            marginals, balls, extras, memos = payload
-            cache.adopt(balls=balls, extras=extras, memos=memos)
-            return marginals.items()
-
-        yield from self._stream_chunked_shards(
-            instance,
-            tasks,
-            chunk_size,
-            "ball_marginals",
-            lambda spec_id, chunk: {
-                "spec_id": spec_id,
-                "tasks": chunk,
-                "memo_cap": memo_cap,
-            },
-            adopt,
+        yield from shards.stream_ball_marginal_tasks(
+            instance, tasks, chunk_size=chunk_size, memo_cap=memo_cap, dispatcher=self
         )
 
     def stream_padded_ball_marginals(
@@ -1139,14 +1064,11 @@ class ClusterCoordinator:
         chunk_size: Optional[int] = None,
         memo_cap: Optional[int] = MEMO_DELTA_CAP,
     ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
-        """Single-radius wrapper over :meth:`stream_ball_marginal_tasks`."""
-        for (center, _), marginal in self.stream_ball_marginal_tasks(
-            instance,
-            [(center, radius) for center in centers],
-            chunk_size=chunk_size,
-            memo_cap=memo_cap,
-        ):
-            yield center, marginal
+        """Single-radius :meth:`stream_ball_marginal_tasks` over the workers."""
+        yield from shards.stream_padded_ball_marginals(
+            instance, centers, radius, chunk_size=chunk_size, memo_cap=memo_cap,
+            dispatcher=self,
+        )
 
     def stream_compiled_balls(
         self,
@@ -1155,24 +1077,10 @@ class ClusterCoordinator:
         chunk_size: Optional[int] = None,
     ) -> Iterator[Tuple[BallKey, object]]:
         """Stream ball compilations from the workers into the parent cache."""
-        tasks = list(dict.fromkeys(tasks))
-        if not tasks:
-            return
-
-        def adopt(cache, compiled):
-            cache.adopt(balls=compiled)
-            return compiled.items()
-
-        yield from self._stream_chunked_shards(
-            instance,
-            tasks,
-            chunk_size,
-            "compile_balls",
-            lambda spec_id, chunk: {"spec_id": spec_id, "tasks": chunk},
-            adopt,
+        yield from shards.stream_compiled_balls(
+            instance, tasks, chunk_size=chunk_size, dispatcher=self
         )
 
-    # -- batched chain blocks -------------------------------------------
     def chain_samples(
         self,
         instance: SamplingInstance,
@@ -1184,79 +1092,16 @@ class ClusterCoordinator:
     ) -> List[Dict[Node, Value]]:
         """Final states of independent chains, run as blocks on the workers.
 
-        ``kernel`` names any registered
-        :class:`~repro.sampling.kernels.ChainKernel` (the legacy block
-        kinds ``"glauber"``/``"luby"`` are accepted as aliases).  The seed
-        list is split into one contiguous block per live worker; each
-        worker advances its block as a batched code matrix on the instance
-        reconstructed from the spec -- the registered ``chain_block`` task
-        body of :data:`~repro.runtime.shards.TASK_REGISTRY`, shared with
-        the process backend -- so chain ``c`` of the result is
-        bit-identical to the kernel's serial chain run with
-        ``seed=seeds[c]``.
-
-        With ``stats=True`` the return value is ``(configurations,
-        counts)`` where ``counts[c]`` is chain ``c``'s per-chain failure
-        count (gated kernels: rejected proposals; others: zeros) --
-        the payload flag rides the existing ``chain_block`` wire format,
-        so JVV rejection statistics distribute like any other block work.
+        :func:`repro.runtime.shards.run_chain_blocks` with this coordinator
+        as the dispatcher: ``kernel`` names any registered
+        :class:`~repro.sampling.kernels.ChainKernel`, the seed list splits
+        into one contiguous block per live worker, and chain ``c`` of the
+        result is bit-identical to the kernel's serial chain run with
+        ``seed=seeds[c]``.  With ``stats=True`` the return value is
+        ``(configurations, counts)`` (per-chain failure counts of gated
+        kernels, zeros for the others).
         """
-        from repro.sampling.kernels import get_kernel
-
-        kernel_name = _LEGACY_CHAIN_KINDS.get(kernel, kernel)
-        get_kernel(kernel_name)  # fail fast on unknown kernels, caller-side
-        seeds = list(seeds)
-        if not seeds:
-            return ([], []) if stats else []
-        spec = self._spec_for(instance)
-        blocks = _chunk_tasks(
-            seeds, 1, chunk_size=-(-len(seeds) // max(1, self.live_worker_count))
+        return shards.run_chain_blocks(
+            instance, kernel, count, seeds,
+            initial=initial, stats=stats, dispatcher=self,
         )
-        legacy_kind = _LEGACY_ALIAS_BY_KERNEL.get(kernel_name)
-        futures = []
-        try:
-            for block in blocks:
-                payload = {
-                    "spec_id": spec[0],
-                    "kernel": kernel_name,
-                    "count": count,
-                    "seeds": block,
-                    "initial": dict(initial) if initial is not None else None,
-                }
-                if stats:
-                    # Behind a flag (not a new message type): an old worker
-                    # would ignore it and return bare configurations, which
-                    # the merge below rejects loudly instead of mis-zipping.
-                    payload["stats"] = True
-                elif legacy_kind is not None:
-                    # Wire compat within PROTOCOL_VERSION 1: a previous-release
-                    # worker reads args["kind"] for the two pre-kernel
-                    # dynamics; newer workers prefer "kernel" and ignore this.
-                    payload["kind"] = legacy_kind
-                futures.append(self.submit_task("chain_block", payload, spec=spec))
-        except BaseException:
-            self._discard(futures)
-            raise
-        try:
-            results: List[Dict[Node, Value]] = []
-            counts: List[int] = []
-            for future in futures:  # block order == seed order
-                block_result = future.result()
-                if stats:
-                    if (
-                        not isinstance(block_result, tuple)
-                        or len(block_result) != 2
-                    ):
-                        raise ClusterError(
-                            "worker returned a bare chain_block payload to a "
-                            "stats=True request (worker predates the stats "
-                            "wire flag?)"
-                        )
-                    block_configs, block_counts = block_result
-                    results.extend(block_configs)
-                    counts.extend(block_counts)
-                else:
-                    results.extend(block_result)
-            return (results, counts) if stats else results
-        finally:
-            self._discard(futures)

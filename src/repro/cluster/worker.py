@@ -20,8 +20,8 @@ so a ``ball_marginals`` task runs exactly the body a process-pool worker
 runs and a ``chain_block`` task runs the same kernel-driven batched block
 -- cluster results are bit-identical to both the process backend and the
 serial loop.  The spec crosses the wire at most once per connection and
-its ball memo stays warm across tasks, mirroring the pool initializer of
-PR 3.
+its ball memo stays warm across tasks, mirroring the process pool's
+initializer.
 
 Task kinds
 ----------
@@ -36,8 +36,7 @@ Task kinds
     configurations of a batched block of chains of any registered
     :class:`~repro.sampling.kernels.ChainKernel` (``count`` units each),
     run on the instance reconstructed from the spec
-    (:meth:`~repro.runtime.shards.InstanceSpec.to_instance`).  The legacy
-    ``{"kind": "glauber"|"luby"}`` payload shape is still accepted.
+    (:meth:`~repro.runtime.shards.InstanceSpec.to_instance`).
 ``call``
     ``(function, args, kwargs)`` -> ``function(*args, **kwargs)`` for any
     picklable (module-level) callable; backs ``Runtime.submit`` and
@@ -413,11 +412,11 @@ class ClusterWorker:
         a reply -- the coordinator dropped their bookkeeping when it sent
         the cancel, so nothing is waiting for a RESULT.
 
-        A task whose args carry a valid ``_obs`` trace context runs under
-        a span continuing the coordinator's trace, and its RESULT grows a
-        third element with the recorded events.  Tasks without the field
-        (or with a foreign-version one) keep the legacy 2-tuple RESULT,
-        so an old coordinator never sees the new shape.
+        Every RESULT is ``(task_id, result, events)``.  A task whose args
+        carry a valid ``_obs`` trace context runs under a span continuing
+        the coordinator's trace and ships the recorded events; a task
+        without the field (or with a foreign-version one) ships
+        ``events=None``.
         """
         while True:
             item = tasks.get()
@@ -427,21 +426,17 @@ class ClusterWorker:
             if task_id in cancelled:
                 cancelled.discard(task_id)
                 continue
-            wire_ctx = None
-            if isinstance(args, dict) and "_obs" in args:
-                args = dict(args)
-                wire_ctx = args.pop("_obs")
+            # The args dict was unpickled for this task alone: popping the
+            # trace context mutates nothing shared.
+            wire_ctx = args.pop("_obs", None) if isinstance(args, dict) else None
             try:
-                if wire_ctx is not None:
-                    result, events = obs.record_remote(
-                        wire_ctx,
-                        lambda: run_task(kind, args, specs, spec=spec),
-                        name="worker.task",
-                        kind=kind,
-                        task_id=task_id,
-                    )
-                else:
-                    result, events = run_task(kind, args, specs, spec=spec), None
+                result, events = obs.record_remote(
+                    wire_ctx,
+                    lambda: run_task(kind, args, specs, spec=spec),
+                    name="worker.task",
+                    kind=kind,
+                    task_id=task_id,
+                )
             except Exception as error:
                 obs.log_event(
                     _log, logging.WARNING, "worker.task_failed",
@@ -453,11 +448,8 @@ class ClusterWorker:
                 except OSError:
                     return
                 continue
-            payload = (
-                (task_id, result) if events is None else (task_id, result, events)
-            )
             try:
-                send(protocol.RESULT, payload)
+                send(protocol.RESULT, (task_id, result, events))
             except OSError:
                 return
             if faults is not None and faults.task_completed():

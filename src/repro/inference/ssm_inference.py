@@ -66,7 +66,7 @@ def _stream_runtime_marginals(
     resolved = resolve_runtime(runtime)
     targets = instance.free_nodes if nodes is None else list(nodes)
     if (
-        (resolved.is_process or resolved.is_cluster)
+        resolved.is_distributed
         and len(targets) > 1
         and resolve_engine(engine_obj.engine) == "compiled"
     ):

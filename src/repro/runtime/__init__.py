@@ -44,9 +44,7 @@ from repro.runtime.chains import (
     ChainBatch,
     ChainState,
     PackedBatch,
-    batched_glauber_sample,
     batched_kernel_sample,
-    batched_luby_glauber_sample,
     chain_seed_sequences,
     make_chain_state,
 )
@@ -69,8 +67,6 @@ from repro.runtime.shards import (
     process_map_unordered,
     register_task,
     run_chain_blocks,
-    shard_compiled_balls,
-    shard_padded_ball_marginals,
     stream_ball_marginal_tasks,
     stream_compiled_balls,
     stream_padded_ball_marginals,
@@ -87,9 +83,7 @@ __all__ = [
     "ChainState",
     "PackedBatch",
     "make_chain_state",
-    "batched_glauber_sample",
     "batched_kernel_sample",
-    "batched_luby_glauber_sample",
     "chain_seed_sequences",
     "TASK_REGISTRY",
     "register_task",
@@ -111,8 +105,6 @@ __all__ = [
     "shm_available",
     "process_map",
     "process_map_unordered",
-    "shard_compiled_balls",
-    "shard_padded_ball_marginals",
     "stream_ball_marginal_tasks",
     "stream_compiled_balls",
     "stream_padded_ball_marginals",

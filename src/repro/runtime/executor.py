@@ -48,10 +48,10 @@ them execute at once.
 from __future__ import annotations
 
 import asyncio
+import functools
 import multiprocessing
 import os
 import threading
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import (
     Callable,
@@ -75,7 +75,8 @@ from repro.runtime.chains import (
     chain_seed_sequences,
     make_chain_state,
 )
-from repro.runtime.shards import (
+# Runtime._distributed looks the distributed entry points up here by name.
+from repro.runtime.shards import (  # noqa: F401
     TRANSPORTS,
     process_map,
     process_map_unordered,
@@ -126,9 +127,13 @@ _BACKENDS = (SERIAL_BACKEND, BATCHED_BACKEND, PROCESS_BACKEND, CLUSTER_BACKEND)
 #: ``process_ball_shards`` residual in ``BENCH_runtime.json``), while the
 #: batched runner sustains well over 200k single-site updates per second --
 #: so below ~10k updates the pool can never pay for itself.  Results are
-#: bit-identical either way (same task body, same per-chain seed streams);
-#: pass ``inline_threshold=0`` to always dispatch.
+#: bit-identical either way (same task body, same per-chain seed streams).
+#: Read at call time, so patching it to 0 makes every workload dispatch.
 INLINE_CHAIN_UPDATES = 10_000
+
+#: The cluster coordinator's method for each distributed entry point of
+#: :mod:`repro.runtime.shards` whose name differs.
+_CLUSTER_ENTRIES = {"run_chain_blocks": "chain_samples"}
 
 
 class Runtime:
@@ -171,13 +176,6 @@ class Runtime:
         descriptors (see :mod:`repro.runtime.shm`), falling back to pickle
         automatically where shared memory is unavailable.  Results are
         bit-identical either way.
-    inline_threshold : int, optional
-        Adaptive dispatch guard: chain workloads whose total update budget
-        (``chains * count``) does not exceed this run the registered task
-        body in-process instead of spinning up a pool -- below the
-        measured spin-up cost the pool can never pay for itself.  Default
-        :data:`INLINE_CHAIN_UPDATES`; ``0`` always dispatches.  Results
-        are bit-identical either way.
     obs : bool or repro.obs.Observability, optional
         ``True`` enables the process-wide observability handle (metrics +
         span tracing; see :mod:`repro.obs`) for this runtime's lifetime --
@@ -207,7 +205,6 @@ class Runtime:
         "auth_key",
         "degrade",
         "transport",
-        "inline_threshold",
         "_pool",
         "_cluster",
         "_local_pool",
@@ -225,7 +222,6 @@ class Runtime:
         auth_key=None,
         degrade: Optional[str] = None,
         transport: Optional[str] = None,
-        inline_threshold: Optional[int] = None,
         obs: Union[None, bool, object] = None,
     ) -> None:
         if backend not in _BACKENDS:
@@ -253,11 +249,6 @@ class Runtime:
                 "backends ship nothing)"
             )
         self.transport = transport if transport is not None else "pickle"
-        if inline_threshold is None:
-            inline_threshold = INLINE_CHAIN_UPDATES
-        if inline_threshold < 0:
-            raise ValueError("inline_threshold must be >= 0")
-        self.inline_threshold = int(inline_threshold)
         self.auth_key = auth_key
         self.degrade = degrade
         self.backend = backend
@@ -316,6 +307,28 @@ class Runtime:
     def is_cluster(self) -> bool:
         """Whether work is dispatched to TCP workers via a coordinator."""
         return self.backend == CLUSTER_BACKEND
+
+    @property
+    def is_distributed(self) -> bool:
+        """Whether spec-bound work fans out (process or cluster backend)."""
+        return self.backend in (PROCESS_BACKEND, CLUSTER_BACKEND)
+
+    def _distributed(self, entry: str) -> Callable:
+        """The distributed entry point ``entry`` bound to this backend.
+
+        Both backends end in the shared drivers of
+        :mod:`repro.runtime.shards`.  The process backend looks ``entry``
+        up among this module's globals at call time, with the pool width
+        and transport bound -- so instrumentation that rebinds those
+        globals (the layer spans of ``perfbench/layers.py``) sees every
+        call; the cluster backend takes the coordinator's method of the
+        same name (``chain_samples`` for chain blocks).
+        """
+        if self.is_cluster:
+            return getattr(self.cluster_client(), _CLUSTER_ENTRIES.get(entry, entry))
+        return functools.partial(
+            globals()[entry], n_workers=self.n_workers, transport=self.transport
+        )
 
     # ------------------------------------------------------------------
     def cluster_client(self):
@@ -610,12 +623,10 @@ class Runtime:
         * ``serial`` loops the kernel's reference ``serial_run`` per seed;
         * ``batched`` advances all chains as one ``(chains, n)`` code
           matrix (:func:`~repro.runtime.chains.batched_kernel_sample`);
-        * ``process`` splits the seeds into contiguous blocks and runs the
-          registered ``chain_block`` task body
-          (:data:`~repro.runtime.shards.TASK_REGISTRY`) on a pool, one
-          batched block per worker;
-        * ``cluster`` dispatches the same ``chain_block`` bodies to its
-          TCP workers against the shipped :class:`InstanceSpec`.
+        * ``process`` and ``cluster`` hand the seeds to the shared
+          chain-block driver (:func:`~repro.runtime.shards.run_chain_blocks`):
+          one contiguous block per pool or TCP worker, each run by the
+          registered ``chain_block`` task body.
 
         An explicit ``engine="dict"`` request is not spec-transportable;
         it degrades to the per-seed serial reference loop (fanned out via
@@ -788,40 +799,30 @@ class Runtime:
                 return batched_kernel_sample(
                     resolved, instance, count, seeds=seeds, initial=initial, engine=engine
                 )
-            if self.is_process:
-                if len(seeds) * count <= self.inline_threshold:
-                    # Adaptive dispatch guard: this workload is smaller than
-                    # the measured pool spin-up cost, so run the same task
-                    # body (batched code matrix, same per-chain streams)
-                    # in-process -- bit-identical, just without the fork tax.
-                    obs.instant(
-                        "runtime.dispatch.inline",
-                        backend=self.backend,
-                        kernel=resolved.name,
-                        chains=len(seeds),
-                        count=count,
-                        threshold=self.inline_threshold,
+            if self.is_distributed:
+                if not self.is_process or len(seeds) * count > INLINE_CHAIN_UPDATES:
+                    return self._distributed("run_chain_blocks")(
+                        instance, resolved.name, count, seeds, initial=initial
                     )
-                    return batched_kernel_sample(
-                        resolved,
-                        instance,
-                        count,
-                        seeds=seeds,
-                        initial=initial,
-                        engine=engine,
-                    )
-                return run_chain_blocks(
-                    instance,
-                    resolved.name,
-                    count,
-                    seeds,
-                    initial=initial,
-                    n_workers=self.n_workers,
-                    transport=self.transport,
+                # Adaptive dispatch guard: this workload is smaller than the
+                # measured pool spin-up cost, so run the same task body
+                # (batched code matrix, same per-chain streams) in-process --
+                # bit-identical, just without the fork tax.
+                obs.instant(
+                    "runtime.dispatch.inline",
+                    backend=self.backend,
+                    kernel=resolved.name,
+                    chains=len(seeds),
+                    count=count,
+                    threshold=INLINE_CHAIN_UPDATES,
                 )
-            if self.is_cluster:
-                return self.cluster_client().chain_samples(
-                    instance, resolved.name, count, seeds, initial=initial
+                return batched_kernel_sample(
+                    resolved,
+                    instance,
+                    count,
+                    seeds=seeds,
+                    initial=initial,
+                    engine=engine,
                 )
             return [
                 resolved.serial_run(
@@ -885,60 +886,6 @@ class Runtime:
             packed.advance(resolved, count)
         return packed.configurations()
 
-    def glauber_sample(
-        self,
-        instance: SamplingInstance,
-        steps: int,
-        seed=0,
-        seeds: Optional[Sequence] = None,
-        initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
-    ) -> List[Dict[Node, Value]]:
-        """Deprecated: ``run_chains("glauber", ...)`` with ``steps`` updates.
-
-        .. deprecated::
-            Use :meth:`run_chains` -- the single kernel-driven execution
-            path.  This wrapper delegates and returns identical results.
-        """
-        warnings.warn(
-            'Runtime.glauber_sample is deprecated; use Runtime.run_chains("glauber", ...)',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run_chains(
-            "glauber", instance, steps, seed=seed, seeds=seeds, initial=initial, engine=engine
-        )
-
-    def luby_glauber_sample(
-        self,
-        instance: SamplingInstance,
-        rounds: int,
-        seed=0,
-        seeds: Optional[Sequence] = None,
-        initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
-    ) -> List[Dict[Node, Value]]:
-        """Deprecated: ``run_chains("luby-glauber", ...)`` with ``rounds`` rounds.
-
-        .. deprecated::
-            Use :meth:`run_chains` -- the single kernel-driven execution
-            path.  This wrapper delegates and returns identical results.
-        """
-        warnings.warn(
-            'Runtime.luby_glauber_sample is deprecated; use Runtime.run_chains("luby-glauber", ...)',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run_chains(
-            "luby-glauber",
-            instance,
-            rounds,
-            seed=seed,
-            seeds=seeds,
-            initial=initial,
-            engine=engine,
-        )
-
     @staticmethod
     def _spec_transportable(engine: Optional[str]) -> bool:
         """Whether a workload may travel as an ``InstanceSpec`` (compiled-only)."""
@@ -956,15 +903,14 @@ class Runtime:
     ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
         """Stream Theorem 5.1 padded-ball marginals as they complete.
 
-        The process backend shards the per-node ball computations across
-        workers and yields each ``(node, marginal)`` pair the moment its
-        shard lands -- worker compilations, boundary extensions and capped
-        marginal-memo deltas are merged into the parent's ball cache
-        incrementally, so the consumer overlaps its own work with the
-        in-flight shards.  The cluster backend does the same over its TCP
-        workers (spec shipped once per connection, dead workers' shards
-        requeued).  Other backends yield the serial per-node loop lazily,
-        in node order.  The shard transport is compiled-only, so an
+        The process and cluster backends shard the per-node ball
+        computations across their pool or TCP workers through the shared
+        streaming driver and yield each ``(node, marginal)`` pair the
+        moment its shard lands -- worker compilations, boundary extensions
+        and capped marginal-memo deltas are merged into the parent's ball
+        cache incrementally, so the consumer overlaps its own work with
+        the in-flight shards.  Other backends yield the serial per-node
+        loop lazily, in node order.  The shard transport is compiled-only, so an
         explicit ``engine="dict"`` request keeps the serial loop and its
         reference backend.
 
@@ -987,21 +933,11 @@ class Runtime:
             bit-identical across backends.
         """
         nodes = list(nodes)
-        if len(nodes) > 1 and self._spec_transportable(engine):
-            if self.is_process:
-                yield from stream_padded_ball_marginals(
-                    instance,
-                    nodes,
-                    radius,
-                    n_workers=self.n_workers,
-                    transport=self.transport,
-                )
-                return
-            if self.is_cluster:
-                yield from self.cluster_client().stream_padded_ball_marginals(
-                    instance, nodes, radius
-                )
-                return
+        if self.is_distributed and len(nodes) > 1 and self._spec_transportable(engine):
+            yield from self._distributed("stream_padded_ball_marginals")(
+                instance, nodes, radius
+            )
+            return
         from repro.inference.ssm_inference import padded_ball_marginal
 
         for node in nodes:
@@ -1018,10 +954,9 @@ class Runtime:
         The multi-radius sibling of :meth:`stream_ball_marginals`, used by
         the overlapped E5 radius sweep
         (:func:`repro.spatialmixing.phase_transition.locality_required`):
-        the process backend shards the tasks over its pool, the cluster
-        backend over its TCP workers, and both merge every arriving
-        shard's artefacts into the parent ball cache before yielding in
-        completion order.  Serial and batched backends yield the lazy
+        the distributed backends shard the tasks over their workers and
+        merge every arriving shard's artefacts into the parent ball cache
+        before yielding in completion order.  Serial and batched backends yield the lazy
         in-order loop.  Values are bit-identical across backends.
 
         Parameters
@@ -1039,17 +974,8 @@ class Runtime:
             ``((center, radius), marginal)`` pairs.
         """
         tasks = list(tasks)
-        if tasks and self.is_process:
-            yield from stream_ball_marginal_tasks(
-                instance,
-                tasks,
-                n_workers=self.n_workers,
-                chunk_size=chunk_size,
-                transport=self.transport,
-            )
-            return
-        if tasks and self.is_cluster:
-            yield from self.cluster_client().stream_ball_marginal_tasks(
+        if self.is_distributed and tasks:
+            yield from self._distributed("stream_ball_marginal_tasks")(
                 instance, tasks, chunk_size=chunk_size
             )
             return
@@ -1087,19 +1013,9 @@ class Runtime:
         int
             Number of distinct balls compiled.
         """
-        if self.is_process and len(tasks) > 1:
+        if self.is_distributed and len(tasks) > 1:
             return sum(
-                1
-                for _ in stream_compiled_balls(
-                    instance,
-                    tasks,
-                    n_workers=self.n_workers,
-                    transport=self.transport,
-                )
-            )
-        if self.is_cluster and len(tasks) > 1:
-            return sum(
-                1 for _ in self.cluster_client().stream_compiled_balls(instance, tasks)
+                1 for _ in self._distributed("stream_compiled_balls")(instance, tasks)
             )
         unique = list(dict.fromkeys(tasks))
         cache = instance.distribution.ball_cache()

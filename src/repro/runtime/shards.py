@@ -12,17 +12,18 @@ module fans that per-node work out across OS processes:
   already-materialised dense tables of the compiled engine, which is exactly
   the data the ball computations run on.
 * :func:`stream_ball_marginal_tasks` / :func:`stream_padded_ball_marginals`
-  / :func:`stream_compiled_balls` -- the *streaming* executor: tasks are
-  chunked onto a ``ProcessPoolExecutor`` (``submit`` + ``as_completed``, no
-  barrier), the :class:`InstanceSpec` crosses the pipe exactly once per
-  worker via the pool initializer, and every chunk's results -- compiled
-  balls, memoised boundary extensions and capped per-pinning marginal-memo
-  deltas -- are merged into the parent's
-  :class:`~repro.engine.cache.BallCache` (:meth:`~repro.engine.cache.BallCache.adopt`)
-  and yielded the moment the chunk lands.  Consumers overlap parent-side
-  work with in-flight shards, mirroring the barrier-free LOCAL model.
-* :func:`shard_compiled_balls` / :func:`shard_padded_ball_marginals` --
-  barrier wrappers that drain the streams into dicts (the historical API).
+  / :func:`stream_compiled_balls` and :func:`run_chain_blocks` -- the
+  *streaming* driver and the chain-block driver of both distributed
+  backends: tasks are chunked onto a dispatcher's ``submit_task(kind,
+  args) -> Future`` face -- a per-call :class:`PoolDispatcher` (the
+  :class:`InstanceSpec` crosses the pipe exactly once per worker via the
+  pool initializer) or a :class:`~repro.cluster.coordinator.ClusterCoordinator`
+  -- and every chunk's results -- compiled balls, memoised boundary
+  extensions and capped per-pinning marginal-memo deltas -- are merged
+  into the parent's :class:`~repro.engine.cache.BallCache`
+  (:meth:`~repro.engine.cache.BallCache.adopt`) and yielded the moment the
+  chunk lands.  Consumers overlap parent-side work with in-flight shards,
+  mirroring the barrier-free LOCAL model.
 * :func:`process_map` / :func:`process_map_unordered` -- generic fork-based
   maps used by the :class:`~repro.runtime.executor.Runtime` facade for
   coarse-grained task parallelism.  The fork start method lets workers
@@ -37,7 +38,8 @@ them into the parent cache is transparent regardless of arrival order.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
@@ -120,14 +122,9 @@ class InstanceSpec:
         }
 
     def __setstate__(self, state) -> None:
+        # The unpickled slots are absent from ``state``, so they start None.
         for slot in self.__slots__:
             setattr(self, slot, state.get(slot))
-        self._node_index = None
-        self._instance = None
-        if self._ball_memo is None:
-            self._ball_memo = {}
-        if self._extras is None:
-            self._extras = {}
 
     @classmethod
     def from_instance(cls, instance: SamplingInstance) -> "InstanceSpec":
@@ -420,7 +417,7 @@ def _spec_wire(spec: InstanceSpec, transport: str):
 
 
 # ----------------------------------------------------------------------
-# worker entry points (must be importable at module top level)
+# task bodies (must be importable at module top level)
 # ----------------------------------------------------------------------
 #: The spec installed once per worker process by the pool initializer, so a
 #: worker that serves many chunks deserialises the instance exactly once and
@@ -428,8 +425,8 @@ def _spec_wire(spec: InstanceSpec, transport: str):
 _WORKER_SPEC: Optional[InstanceSpec] = None
 
 #: The task registry: every spec-bound task body that a distributed backend
-#: can execute, by kind.  One body per kind, shared by *all* backends: the
-#: process pool submits these functions directly, the cluster worker looks
+#: can execute, by kind.  One body per kind, shared by *all* backends: pool
+#: workers run them through :func:`_run_pool_task`, the cluster worker looks
 #: them up by the kind carried in the ``TASK`` frame, and the in-process
 #: fallbacks call them with an explicit spec -- so a result is bit-identical
 #: no matter where it ran.  Bodies take ``(args, spec)`` where ``args`` is
@@ -461,9 +458,9 @@ def _install_worker_spec(spec: InstanceSpec, obs_ctx=None) -> None:
 
     ``obs_ctx`` is the parent's trace context as a versioned wire dict
     (``None`` when tracing is off): when present, the worker process arms
-    a recorder continuing the parent's trace, so spans recorded by chunk
+    a recorder continuing the parent's trace, so spans recorded by task
     bodies stitch into the parent timeline (shipped back by
-    :func:`_traced_chunk`).  Unknown/foreign contexts are ignored.
+    :func:`_run_pool_task`).  Unknown/foreign contexts are ignored.
     """
     global _WORKER_SPEC
     if isinstance(spec, _ShmSpec):
@@ -473,55 +470,40 @@ def _install_worker_spec(spec: InstanceSpec, obs_ctx=None) -> None:
         obs.arm_remote(obs_ctx, proc="pool-worker")
 
 
-def _traced_chunk(body: Callable, chunk, extra_args: tuple):
-    """Pool-worker wrapper shipping trace events alongside a chunk result.
+def _run_pool_task(kind: str, args: Dict):
+    """Pool-worker entry point: the registered body of ``kind`` on the installed spec.
 
-    Only submitted when the parent is tracing (so untraced runs keep the
-    exact legacy submission path); returns ``(payload, events)`` with the
-    worker's buffered events drained per chunk.
+    The pool's counterpart of a cluster worker's ``RESULT`` frame: returns
+    ``(result, events)``, where ``events`` are the trace events recorded
+    while the task ran -- drained per task, so each ships exactly once, and
+    empty unless the initializer armed a trace context.
     """
-    with obs.span("shards.chunk", kind=getattr(body, "__name__", str(body)), tasks=len(chunk)):
-        payload = body(chunk, *extra_args)
-    return payload, obs.drain_events()
+    with obs.span("shards.task", kind=kind):
+        result = TASK_REGISTRY[kind](args, spec=_WORKER_SPEC)
+    return result, obs.drain_events()
 
 
-def _compile_ball_chunk(
-    tasks: Sequence[BallKey], spec: Optional[InstanceSpec] = None
-) -> Dict[BallKey, CompiledGibbs]:
-    """Worker body: compile one chunk of ``(center, radius)`` balls.
+@register_task("ball_marginals")
+def _ball_marginals_task(args: Dict, spec: InstanceSpec):
+    """Registered body: Theorem 5.1 marginals for one chunk of ball tasks.
 
-    ``spec`` defaults to the worker-global installed by the pool
-    initializer; the in-process fallback path passes it explicitly.
-    """
-    spec = _WORKER_SPEC if spec is None else spec
-    return {key: spec.compile_ball(*key) for key in tasks}
-
-
-def _ball_marginal_chunk(
-    tasks: Sequence[BallKey],
-    memo_cap: Optional[int],
-    spec: Optional[InstanceSpec] = None,
-):
-    """Worker body: padded-ball marginals for one chunk of tasks.
-
-    Returns ``(marginals, balls, extras, memos)``.  Only the artefacts of
-    *this* chunk are shipped: the padded balls the parent's serial replay
-    queries (``compiled_ball(center, radius + locality)``; the context balls
-    the greedy extension used stay worker-local), the chunk's boundary
+    ``args`` carries ``{"tasks", "memo_cap"}``; returns ``(marginals, balls,
+    extras, memos)``.  Only the artefacts of *this* chunk are shipped: the
+    padded balls the parent's serial replay queries
+    (``compiled_ball(center, radius + locality)``; the context balls the
+    greedy extension used stay worker-local), the chunk's boundary
     extensions, and a ``memo_cap``-capped export of each shipped ball's
-    per-pinning marginal memo.  The spec defaults to the worker-global of
-    :func:`_install_worker_spec` and persists across chunks of the same
-    worker, so nothing already shipped by an earlier chunk is resent; the
-    in-process fallback path passes its spec explicitly.
+    per-pinning marginal memo.  A pool worker's spec persists across
+    chunks, so nothing already shipped by an earlier chunk is resent.
     """
-    spec = _WORKER_SPEC if spec is None else spec
+    tasks = args["tasks"]
     marginals = {key: spec.padded_ball_marginal(*key) for key in tasks}
     wanted = {(center, radius + spec.locality) for center, radius in tasks}
     balls = {key: ball for key, ball in spec._ball_memo.items() if key in wanted}
     memos = {
         key: memo
         for key, ball in balls.items()
-        if (memo := ball.export_marginal_memo(cap=memo_cap))
+        if (memo := ball.export_marginal_memo(cap=args["memo_cap"]))
     }
     chunk_keys = {(center, radius) for center, radius in tasks}
     extras = {
@@ -532,37 +514,14 @@ def _ball_marginal_chunk(
     return marginals, balls, extras, memos
 
 
-@register_task("ball_marginals")
-def _ball_marginals_task(args: Dict, spec: Optional[InstanceSpec] = None):
-    """Registered body: Theorem 5.1 marginals for one chunk of ball tasks."""
-    return _ball_marginal_chunk(args["tasks"], args["memo_cap"], spec=spec)
-
-
 @register_task("compile_balls")
-def _compile_balls_task(args: Dict, spec: Optional[InstanceSpec] = None):
+def _compile_balls_task(args: Dict, spec: InstanceSpec):
     """Registered body: compile one chunk of ``(center, radius)`` balls."""
-    return _compile_ball_chunk(args["tasks"], spec=spec)
-
-
-#: Legacy chain-block kind names (the pre-kernel wire format) -> kernel names.
-_LEGACY_CHAIN_KINDS = {"glauber": "glauber", "luby": "luby-glauber"}
-#: Reverse view: kernel name -> the legacy alias a previous-release worker
-#: understands (the coordinator ships both fields for these kernels).
-_LEGACY_ALIAS_BY_KERNEL = {name: alias for alias, name in _LEGACY_CHAIN_KINDS.items()}
-
-
-def _chain_block_kernel(args: Dict) -> str:
-    """The kernel name of a chain-block payload (legacy ``kind`` accepted)."""
-    kernel = args.get("kernel")
-    if kernel is None:
-        kernel = _LEGACY_CHAIN_KINDS.get(args.get("kind"))
-    if kernel is None:
-        raise ValueError(f"chain block names no kernel: {args!r}")
-    return kernel
+    return {key: spec.compile_ball(*key) for key in args["tasks"]}
 
 
 @register_task("chain_block")
-def _chain_block_task(args: Dict, spec: Optional[InstanceSpec] = None):
+def _chain_block_task(args: Dict, spec: InstanceSpec):
     """Registered body: advance one block of chains of one kernel.
 
     ``args`` carries ``{"kernel", "count", "seeds", "initial"}`` (plus the
@@ -593,8 +552,7 @@ def _chain_block_task(args: Dict, spec: Optional[InstanceSpec] = None):
     from repro.runtime.chains import ChainBatch, batched_kernel_sample
     from repro.sampling.kernels import get_kernel
 
-    spec = _WORKER_SPEC if spec is None else spec
-    kernel = get_kernel(_chain_block_kernel(args))
+    kernel = get_kernel(args["kernel"])
     out = args.get("out")
     if out is None and not args.get("stats"):
         return batched_kernel_sample(
@@ -626,6 +584,208 @@ def _chain_block_task(args: Dict, spec: Optional[InstanceSpec] = None):
     return batch.configurations(), counts
 
 
+# ----------------------------------------------------------------------
+# dispatch: one call's fan-out over a process pool or a cluster
+# ----------------------------------------------------------------------
+def _chunk_count(n_workers: int) -> int:
+    """The default number of chunks one call splits its tasks into.
+
+    Scales with the fleet but caps the chunk COUNT: four chunks per worker
+    would shrink chunks linearly with the worker count, and over TCP the
+    fixed per-chunk dispatch cost (frame + payload round trip) then
+    dominates -- the measured 4-worker regression in BENCH_runtime.json.
+    A few chunks per worker is plenty of load-balancing slack; beyond ~2x
+    the fleet (floor 8, so small fleets keep four chunks per worker) more
+    chunks only buy more round trips.
+    """
+    return min(4 * n_workers, max(2 * n_workers, 8))
+
+
+def _chunk_tasks(
+    tasks: Sequence, n_workers: int, chunk_size: Optional[int] = None
+) -> List[List]:
+    """Split tasks into contiguous chunks sized for streaming.
+
+    The default aims at :func:`_chunk_count` chunks -- small enough that
+    the first result lands early and stragglers stay balanced, large
+    enough to amortise the per-chunk submit/pickle round trip.
+    """
+    tasks = list(tasks)
+    if not tasks:
+        return []
+    if chunk_size is None:
+        chunk_size = -(-len(tasks) // _chunk_count(max(1, n_workers)))
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
+    return [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
+
+
+class _TaskFuture(Future):
+    """A pool future resolving to a task's result, its trace events absorbed.
+
+    Wraps the future of one :func:`_run_pool_task` call: when that lands,
+    the worker's events merge into the parent tracer and this future
+    resolves to the bare result -- the shape a cluster task future has.
+    Cancelling it cancels the pool's future too.
+    """
+
+    def __init__(self, inner: Future) -> None:
+        super().__init__()
+        self._inner = inner
+        inner.add_done_callback(self._settle)
+
+    def cancel(self) -> bool:
+        self._inner.cancel()
+        return super().cancel()
+
+    def _settle(self, inner: Future) -> None:
+        if not self.set_running_or_notify_cancel():
+            return  # the consumer cancelled the task; drop the result
+        try:
+            result, events = inner.result()
+        except BaseException as error:
+            # A failed or cancelled task -- or a worker-side SystemExit,
+            # which the pool also ships back: this future must resolve
+            # either way, or a stream waiting on it never ends.
+            self.set_exception(error)
+        else:
+            obs.absorb_events(events)
+            self.set_result(result)
+
+
+class PoolDispatcher:
+    """One call's process pool behind the cluster coordinator's dispatch face.
+
+    The drivers below drive this pool and a
+    :class:`~repro.cluster.coordinator.ClusterCoordinator` through the same
+    members: ``live_worker_count``, ``submit_task`` and ``discard``.  A
+    task runs the registered body of ``kind`` on a pool worker against the
+    spec the initializer installed once per worker (as shared-memory
+    descriptors under ``transport="shm"``), so ``submit_task``'s ``spec``
+    is accepted for parity and ignored.  When the parent is tracing, its
+    context rides the initializer.  :meth:`close` shuts the pool down and
+    unlinks the spec's segment.
+    """
+
+    def __init__(
+        self, spec: InstanceSpec, n_workers: int, transport: str = "pickle"
+    ) -> None:
+        self.live_worker_count = n_workers
+        wire_spec, self._pack = _spec_wire(spec, transport)
+        try:
+            self._pool = ProcessPoolExecutor(
+                max_workers=n_workers,
+                initializer=_install_worker_spec,
+                initargs=(wire_spec, obs.wire_context()),
+            )
+        except BaseException:
+            self.close()
+            raise
+
+    def submit_task(self, kind: str, args: Dict, spec=None) -> Future:
+        """Schedule one registered task on the pool; resolves to its result."""
+        return _TaskFuture(self._pool.submit(_run_pool_task, kind, args))
+
+    @staticmethod
+    def discard(futures: Iterable[Future]) -> None:
+        """Cancel every still-pending future (running ones finish unread)."""
+        for future in futures:
+            future.cancel()
+
+    def close(self) -> None:
+        pool = getattr(self, "_pool", None)
+        try:
+            if pool is not None:
+                pool.shutdown()
+        finally:
+            if self._pack is not None:
+                self._pack.release()
+
+
+@contextmanager
+def _dispatch(instance: SamplingInstance, dispatcher, n_workers: int, transport: str):
+    """``(dispatcher, spec)`` for one distributed call.
+
+    A given dispatcher (a cluster coordinator) is used as is, with its
+    memoised ``(spec_id, spec)`` snapshot of the instance
+    (:meth:`~repro.cluster.coordinator.ClusterCoordinator.spec_for`);
+    ``None`` makes a :class:`PoolDispatcher` of ``n_workers`` processes
+    that lives exactly as long as the call.
+    """
+    if dispatcher is not None:
+        yield dispatcher, dispatcher.spec_for(instance)
+        return
+    spec = InstanceSpec.from_instance(instance)
+    pool = PoolDispatcher(spec, n_workers, transport)
+    try:
+        yield pool, (0, spec)
+    finally:
+        pool.close()
+
+
+# ----------------------------------------------------------------------
+# the drivers, shared by the process and cluster backends
+# ----------------------------------------------------------------------
+def _stream_tasks(
+    instance, kind, tasks, args, adopt, n_workers, chunk_size, transport, dispatcher
+):
+    """The streaming driver: chunk ``tasks``, fan them out, adopt as they land.
+
+    Each chunk runs as one ``kind`` task (``args`` plus the chunk's
+    ``"tasks"``); each landed payload goes through ``adopt(cache,
+    payload)`` into the instance's ball cache, and the items that returns
+    are yielded.  With no dispatcher and one worker or one chunk, the
+    registered body runs in-process, lazily, chunk by chunk.  The failure
+    and cancellation contract is :func:`stream_ball_marginal_tasks`'s.
+    """
+    if not tasks:
+        return
+    cache = instance.distribution.ball_cache()
+    if dispatcher is not None:
+        n_workers = max(1, dispatcher.live_worker_count)
+    chunks = _chunk_tasks(tasks, n_workers, chunk_size)
+    if dispatcher is None and min(n_workers, len(chunks)) <= 1:
+        spec = InstanceSpec.from_instance(instance)
+        for chunk in chunks:
+            try:
+                with obs.span(
+                    "shards.task", kind=kind, tasks=len(chunk), mode="inprocess"
+                ):
+                    payload = TASK_REGISTRY[kind](dict(args, tasks=chunk), spec=spec)
+            except Exception as error:
+                raise RuntimeError(
+                    f"ball shard failed on chunk {chunk!r}: {error}"
+                ) from error
+            yield from adopt(cache, payload)
+        return
+    handle = obs.active()
+    pending = (
+        handle.metrics.gauge("runtime.shards.pending") if handle is not None else None
+    )
+    width = min(n_workers, len(chunks))
+    with _dispatch(instance, dispatcher, width, transport) as (dispatch, spec):
+        futures: Dict[Future, List] = {}
+        try:
+            for chunk in chunks:
+                chunk_args = dict(args, spec_id=spec[0], tasks=chunk)
+                futures[dispatch.submit_task(kind, chunk_args, spec=spec)] = chunk
+            if pending is not None:
+                pending.set(len(futures))
+            for future in as_completed(futures):
+                try:
+                    payload = future.result()
+                except Exception as error:
+                    raise RuntimeError(
+                        f"ball shard failed on chunk {futures[future]!r}: {error}"
+                    ) from error
+                if pending is not None:
+                    handle.metrics.counter("runtime.shards.chunks").inc()
+                    pending.add(-1)
+                yield from adopt(cache, payload)
+        finally:
+            dispatch.discard(futures)
+
+
 def run_chain_blocks(
     instance: SamplingInstance,
     kernel_name: str,
@@ -635,25 +795,28 @@ def run_chain_blocks(
     n_workers: int = 2,
     stats: bool = False,
     transport: str = "pickle",
+    dispatcher=None,
 ) -> List[Dict[Node, Value]]:
-    """Run independent chains as batched blocks over a process pool.
+    """Run independent chains as batched blocks: the chain-block driver.
 
-    The process-backend leg of the unified chain path
-    (:meth:`repro.runtime.executor.Runtime.run_chains`): the seed list is
-    split into one contiguous block per worker, each block executes the
-    registered ``chain_block`` task body on a pool worker (the
-    :class:`InstanceSpec` crosses the pipe once per worker via the pool
-    initializer), and the per-block results concatenate back in seed
-    order.  With one block or one worker the body runs in-process -- same
-    body, same results.
+    The distributed leg of the unified chain path
+    (:meth:`repro.runtime.executor.Runtime.run_chains`), shared by both
+    backends: the seed list is split into one contiguous block per worker,
+    each block executes the registered ``chain_block`` task body on a
+    worker, and the per-block results concatenate back in seed order.
+    ``dispatcher`` is a cluster coordinator (one block per live worker,
+    the spec shipped once per connection) or ``None`` for a per-call pool
+    of ``n_workers`` processes; with one block or one worker the body
+    runs in-process -- same body, same results.
 
-    ``transport="shm"`` moves the two bulk payloads out of pickle: the
-    spec's dense factor arrays ship as shared-memory descriptors
-    (:class:`_ShmSpec`) and each block writes its final code matrix into
-    one parent-owned ``(len(seeds), n)`` shared segment, decoded here with
-    the exact :meth:`~repro.runtime.chains.ChainBatch.configurations` rule
-    -- results are bit-identical to the pickle transport.  When shared
-    memory is unavailable the call silently degrades to pickle; the parent
+    ``transport="shm"`` (process pool only) moves the two bulk payloads
+    out of pickle: the spec's dense factor arrays ship as shared-memory
+    descriptors (:class:`_ShmSpec`) and each block writes its final code
+    matrix into one parent-owned ``(len(seeds), n)`` shared segment,
+    decoded here with the exact
+    :meth:`~repro.runtime.chains.ChainBatch.configurations` rule --
+    results are bit-identical to the pickle transport.  When shared memory
+    is unavailable the call silently degrades to pickle; the parent
     unlinks both segments before returning.
 
     Returns
@@ -662,218 +825,104 @@ def run_chain_blocks(
         Final configurations, one per seed, bit-identical to the kernel's
         serial chains.  With ``stats=True``: ``(configurations, counts)``,
         where ``counts`` are the per-chain failure counts of gated kernels
-        (zeros for ungated ones) -- the same payload flag the cluster
-        coordinator ships, so rejection statistics distribute identically
-        on both multi-host backends.
+        (zeros for ungated ones).
+
+    Raises
+    ------
+    ValueError
+        For an unknown kernel name, before anything is dispatched.
     """
+    from repro.sampling.kernels import get_kernel
+
+    get_kernel(kernel_name)  # fail fast on unknown kernels, caller-side
     seeds = list(seeds)
     if not seeds:
         return ([], []) if stats else []
-    spec = InstanceSpec.from_instance(instance)
-    # One contiguous block per worker (same split the cluster coordinator
-    # uses for its chain blocks).
-    blocks = _chunk_tasks(
-        seeds, 1, chunk_size=-(-len(seeds) // max(1, n_workers))
-    )
-
-    def payload(block: List, out=None) -> Dict:
-        body = {
-            "kernel": kernel_name,
-            "count": count,
-            "seeds": block,
-            "initial": dict(initial) if initial is not None else None,
-        }
-        if stats:
-            body["stats"] = True
-        if out is not None:
-            body["out"] = out
-        return body
-
-    def merge(results, counts, block_result) -> None:
-        if stats:
-            block_configs, block_counts = block_result
-            if block_configs is not None:
-                results.extend(block_configs)
-            counts.extend(block_counts)
-        elif block_result is not None:
-            results.extend(block_result)
-
+    if dispatcher is not None:
+        n_workers = max(1, dispatcher.live_worker_count)
+    blocks = _chunk_tasks(seeds, 1, chunk_size=-(-len(seeds) // max(1, n_workers)))
+    args = {
+        "kernel": kernel_name,
+        "count": count,
+        "initial": dict(initial) if initial is not None else None,
+    }
+    if stats:
+        args["stats"] = True
     results: List[Dict[Node, Value]] = []
     counts: List[int] = []
-    if len(blocks) <= 1 or n_workers <= 1:
+
+    def merge(block_result) -> None:
+        if stats:
+            block_result, block_counts = block_result
+            counts.extend(block_counts)
+        if block_result is not None:
+            results.extend(block_result)
+
+    if dispatcher is None and min(n_workers, len(blocks)) <= 1:
+        spec = InstanceSpec.from_instance(instance)
         for block in blocks:
             with obs.span(
                 "shards.chain_block", kernel=kernel_name, chains=len(block),
                 mode="inprocess",
             ):
-                merge(results, counts, _chain_block_task(payload(block), spec=spec))
+                merge(_chain_block_task(dict(args, seeds=block), spec=spec))
         return (results, counts) if stats else results
-    ctx = obs.wire_context()
-    wire_spec, spec_pack = _spec_wire(spec, transport)
     out_pack = None
-    if spec_pack is not None:
-        from repro.runtime import shm
-
-        out_pack = shm.pack_arrays(
-            [np.zeros((len(seeds), len(spec.nodes)), dtype=np.int64)],
-            label="chain-codes",
-        )
-    offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]]).tolist()
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(blocks)),
-            initializer=_install_worker_spec,
-            initargs=(wire_spec, ctx),
-        ) as pool:
-            payloads = [
-                payload(
-                    block,
-                    out=(
-                        (out_pack.descriptors[0], offset)
-                        if out_pack is not None
-                        else None
-                    ),
+        width = min(n_workers, len(blocks))
+        with _dispatch(instance, dispatcher, width, transport) as (dispatch, spec):
+            if dispatcher is None and transport == "shm":
+                from repro.runtime import shm
+
+                # None (pickled results) where shared memory is unavailable.
+                out_pack = shm.pack_arrays(
+                    [np.zeros((len(seeds), len(spec[1].nodes)), dtype=np.int64)],
+                    label="chain-codes",
                 )
-                for block, offset in zip(blocks, offsets)
-            ]
-            if ctx is None:
-                futures = [
-                    pool.submit(_chain_block_task, body) for body in payloads
-                ]
-            else:
-                futures = [
-                    pool.submit(_traced_chunk, _chain_block_task, body, ())
-                    for body in payloads
-                ]
+            futures: List[Future] = []
             try:
+                offset = 0
+                for block in blocks:
+                    block_args = dict(args, spec_id=spec[0], seeds=block)
+                    if out_pack is not None:
+                        block_args["out"] = (out_pack.descriptors[0], offset)
+                    offset += len(block)
+                    futures.append(
+                        dispatch.submit_task("chain_block", block_args, spec=spec)
+                    )
                 for future in futures:  # block order == seed order
-                    block_result = future.result()
-                    if ctx is not None:
-                        block_result, events = block_result
-                        obs.absorb_events(events)
-                    merge(results, counts, block_result)
+                    merge(future.result())
             finally:
-                for future in futures:
-                    future.cancel()
+                dispatch.discard(futures)
         if out_pack is not None:
             # Decode the shared code matrix with the exact
             # ChainBatch.configurations() rule (spec.nodes/alphabet are the
             # compiled engine's, so this is bit-identical to pickled results).
-            alphabet = spec.alphabet
-            nodes = spec.nodes
+            alphabet, nodes = spec[1].alphabet, spec[1].nodes
             results = [
                 {node: alphabet[code] for node, code in zip(nodes, row)}
                 for row in out_pack.view(0).tolist()
             ]
         return (results, counts) if stats else results
     finally:
-        if spec_pack is not None:
-            spec_pack.release()
         if out_pack is not None:
             out_pack.release()
-
-
-def _chunk_tasks(
-    tasks: Sequence, n_workers: int, chunk_size: Optional[int] = None
-) -> List[List]:
-    """Split tasks into contiguous chunks sized for streaming.
-
-    The default aims at roughly four chunks per worker -- small enough that
-    the first result lands early and stragglers stay balanced, large enough
-    to amortise the per-chunk submit/pickle round trip.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(tasks) // (4 * max(1, n_workers))))
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
-    return [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
-
-
-def _stream_chunks(spec, chunks, body, extra_args, n_workers, transport="pickle"):
-    """Drive chunks through a futures pool, yielding payloads as they land.
-
-    ``body(chunk, *extra_args, spec=...)`` is a module-level chunk body
-    from this file; with a pool it is submitted directly (the worker-global
-    spec applies), in-process it is called with the explicit spec.  The
-    spec crosses the pipe exactly once per worker via the pool initializer
-    -- as descriptors into one shared-memory segment under
-    ``transport="shm"`` (falling back to pickle when shared memory is
-    unavailable; the segment is unlinked when the stream finishes).
-    A failed chunk -- worker exception, broken pool, or the in-process
-    fallback raising -- surfaces as a ``RuntimeError`` naming the chunk
-    instead of a hang; pending chunks are cancelled both on failure and
-    when the consumer abandons the generator early.
-
-    When tracing is on, the parent's trace context rides the initializer
-    and chunks are submitted through :func:`_traced_chunk`, so worker-side
-    spans come back with each payload and are absorbed here; queue depth
-    and chunk counts land in the metrics registry.  With obs off the
-    submission path is exactly the legacy one.
-    """
-    handle = obs.active()
-    if len(chunks) <= 1 or n_workers <= 1:
-        for chunk in chunks:
-            try:
-                with obs.span("shards.chunk", kind=getattr(body, "__name__", str(body)),
-                              tasks=len(chunk), mode="inprocess"):
-                    payload = body(chunk, *extra_args, spec=spec)
-            except Exception as error:
-                raise RuntimeError(
-                    f"ball shard failed on chunk {chunk!r}: {error}"
-                ) from error
-            yield payload
-        return
-    ctx = obs.wire_context()
-    pending_gauge = (
-        handle.metrics.gauge("runtime.shards.pending") if handle is not None else None
-    )
-    wire_spec, spec_pack = _spec_wire(spec, transport)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(chunks)),
-            initializer=_install_worker_spec,
-            initargs=(wire_spec, ctx),
-        ) as pool:
-            if ctx is None:
-                futures = {pool.submit(body, chunk, *extra_args): chunk for chunk in chunks}
-            else:
-                futures = {
-                    pool.submit(_traced_chunk, body, chunk, extra_args): chunk
-                    for chunk in chunks
-                }
-            if pending_gauge is not None:
-                pending_gauge.set(len(futures))
-            try:
-                for future in as_completed(futures):
-                    try:
-                        payload = future.result()
-                    except Exception as error:
-                        chunk = futures[future]
-                        raise RuntimeError(
-                            f"ball shard failed on chunk {chunk!r}: {error}"
-                        ) from error
-                    if ctx is not None:
-                        payload, events = payload
-                        obs.absorb_events(events)
-                    if handle is not None:
-                        handle.metrics.counter("runtime.shards.chunks").inc()
-                        if pending_gauge is not None:
-                            pending_gauge.add(-1)
-                    yield payload
-            finally:
-                for future in futures:
-                    future.cancel()
-    finally:
-        if spec_pack is not None:
-            spec_pack.release()
 
 
 # ----------------------------------------------------------------------
 # parent-side streaming API
 # ----------------------------------------------------------------------
+def _adopt_ball_marginals(cache, payload):
+    marginals, balls, extras, memos = payload
+    cache.adopt(balls=balls, extras=extras, memos=memos)
+    return marginals.items()
+
+
+def _adopt_compiled_balls(cache, compiled):
+    cache.adopt(balls=compiled)
+    return compiled.items()
+
+
 def stream_ball_marginal_tasks(
     instance: SamplingInstance,
     tasks: Sequence[BallKey],
@@ -881,13 +930,15 @@ def stream_ball_marginal_tasks(
     chunk_size: Optional[int] = None,
     memo_cap: Optional[int] = MEMO_DELTA_CAP,
     transport: str = "pickle",
+    dispatcher=None,
 ) -> Iterator[Tuple[BallKey, Dict[Value, float]]]:
     """Stream Theorem 5.1 marginals for heterogeneous ``(center, radius)`` tasks.
 
-    The barrier-free core of the process backend: tasks are chunked, the
-    chunks run on a ``ProcessPoolExecutor`` (the picklable
+    The barrier-free core of both distributed backends: tasks are chunked,
+    the chunks run on a per-call ``ProcessPoolExecutor`` (the picklable
     :class:`InstanceSpec` is shipped once per worker via the pool
-    initializer), and each chunk's results are yielded -- and merged into the
+    initializer) or -- with ``dispatcher`` -- on a cluster coordinator's
+    workers, and each chunk's results are yielded -- and merged into the
     parent's :class:`~repro.engine.cache.BallCache` via
     :meth:`~repro.engine.cache.BallCache.adopt` -- the moment the chunk
     completes, in *completion* order.  The parent can therefore consume
@@ -905,7 +956,7 @@ def stream_ball_marginal_tasks(
         Process-pool width; with one worker (or one chunk) the stream runs
         in-process with no pool, bit-identically.
     chunk_size : int, optional
-        Tasks per submitted chunk (default: about four chunks per worker).
+        Tasks per submitted chunk (default: :func:`_chunk_count` chunks).
     memo_cap : int, optional
         Per-ball cap on the marginal-memo delta shipped back (``None``
         ships every entry, ``0`` disables memo deltas).
@@ -913,6 +964,9 @@ def stream_ball_marginal_tasks(
         ``"pickle"`` (default) ships the spec by value; ``"shm"`` ships its
         dense arrays as shared-memory descriptors (pickle fallback when
         unavailable).
+    dispatcher : ClusterCoordinator, optional
+        Run the chunks on this coordinator's workers instead of a pool
+        (``n_workers`` and ``transport`` then do not apply).
 
     Yields
     ------
@@ -922,28 +976,14 @@ def stream_ball_marginal_tasks(
     Raises
     ------
     RuntimeError
-        When a worker chunk fails, naming the chunk and chaining the worker
-        exception; remaining chunks are cancelled.  Abandoning the generator
-        early (``close()``) likewise cancels everything still pending.
+        When a chunk fails, naming the chunk and chaining the cause;
+        remaining chunks are cancelled.  Abandoning the generator early
+        (``close()``) likewise cancels everything still pending.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return
-    spec = InstanceSpec.from_instance(instance)
-    cache = instance.distribution.ball_cache()
-    chunks = _chunk_tasks(tasks, n_workers, chunk_size)
-    payloads = _stream_chunks(
-        spec,
-        chunks,
-        body=_ball_marginal_chunk,
-        extra_args=(memo_cap,),
-        n_workers=n_workers,
-        transport=transport,
+    yield from _stream_tasks(
+        instance, "ball_marginals", list(tasks), {"memo_cap": memo_cap},
+        _adopt_ball_marginals, n_workers, chunk_size, transport, dispatcher,
     )
-    for marginals, balls, extras, memos in payloads:
-        cache.adopt(balls=balls, extras=extras, memos=memos)
-        for key, marginal in marginals.items():
-            yield key, marginal
 
 
 def stream_padded_ball_marginals(
@@ -954,6 +994,7 @@ def stream_padded_ball_marginals(
     chunk_size: Optional[int] = None,
     memo_cap: Optional[int] = MEMO_DELTA_CAP,
     transport: str = "pickle",
+    dispatcher=None,
 ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
     """Stream Theorem 5.1 marginals at many centers of one radius.
 
@@ -971,6 +1012,7 @@ def stream_padded_ball_marginals(
         chunk_size=chunk_size,
         memo_cap=memo_cap,
         transport=transport,
+        dispatcher=dispatcher,
     ):
         yield center, marginal
 
@@ -981,74 +1023,19 @@ def stream_compiled_balls(
     n_workers: int = 2,
     chunk_size: Optional[int] = None,
     transport: str = "pickle",
+    dispatcher=None,
 ) -> Iterator[Tuple[BallKey, CompiledGibbs]]:
-    """Stream ``(center, radius)`` ball compilations from a process pool.
+    """Stream ``(center, radius)`` ball compilations from the workers.
 
     Duplicate tasks are dropped; each chunk of compiled balls is adopted
     into the distribution's :class:`~repro.engine.cache.BallCache` and
     yielded the moment it completes, so the parent can start querying early
-    balls while later ones are still compiling.
+    balls while later ones are still compiling.  ``dispatcher`` as for
+    :func:`stream_ball_marginal_tasks`.
     """
-    tasks = list(dict.fromkeys(tasks))
-    if not tasks:
-        return
-    spec = InstanceSpec.from_instance(instance)
-    cache = instance.distribution.ball_cache()
-    chunks = _chunk_tasks(tasks, n_workers, chunk_size)
-    payloads = _stream_chunks(
-        spec,
-        chunks,
-        body=_compile_ball_chunk,
-        extra_args=(),
-        n_workers=n_workers,
-        transport=transport,
-    )
-    for compiled in payloads:
-        cache.adopt(balls=compiled)
-        yield from compiled.items()
-
-
-# ----------------------------------------------------------------------
-# barrier wrappers (drain the stream; kept as the dict-returning API)
-# ----------------------------------------------------------------------
-def shard_compiled_balls(
-    instance: SamplingInstance,
-    tasks: Sequence[BallKey],
-    n_workers: int = 2,
-    transport: str = "pickle",
-) -> Dict[BallKey, CompiledGibbs]:
-    """Compile ``(center, radius)`` balls across a process pool (barrier).
-
-    Drains :func:`stream_compiled_balls` into a dict: the compiled balls are
-    merged into the distribution's :class:`~repro.engine.cache.BallCache`
-    (so subsequent serial queries are cache hits) and returned together.
-    Callers that can make use of partial results should iterate the stream
-    instead.
-    """
-    return dict(
-        stream_compiled_balls(instance, tasks, n_workers=n_workers, transport=transport)
-    )
-
-
-def shard_padded_ball_marginals(
-    instance: SamplingInstance,
-    centers: Sequence[Node],
-    radius: int,
-    n_workers: int = 2,
-    transport: str = "pickle",
-) -> Dict[Node, Dict[Value, float]]:
-    """Theorem 5.1 marginals at many centers, sharded across processes (barrier).
-
-    Drains :func:`stream_padded_ball_marginals` into a per-center dict; the
-    workers' compiled balls, boundary extensions and capped marginal-memo
-    deltas are merged back into the distribution's cache shard by shard.
-    Results are bit-identical to the serial
-    :func:`repro.inference.ssm_inference.padded_ball_marginal` loop.
-    """
-    return dict(
-        stream_padded_ball_marginals(
-            instance, centers, radius, n_workers=n_workers, transport=transport
-        )
+    yield from _stream_tasks(
+        instance, "compile_balls", list(dict.fromkeys(tasks)), {},
+        _adopt_compiled_balls, n_workers, chunk_size, transport, dispatcher,
     )
 
 

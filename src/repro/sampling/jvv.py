@@ -161,7 +161,6 @@ def jvv_chain_stats(
     """
     from repro.runtime import resolve_runtime
     from repro.runtime.chains import ChainBatch, chain_seed_sequences
-    from repro.runtime.shards import run_chain_blocks
 
     resolved = resolve_runtime(runtime)
     if seeds is None:
@@ -178,19 +177,8 @@ def jvv_chain_stats(
             for chain_seed in seeds
         ]
         return [state for state, _ in pairs], [count for _, count in pairs]
-    if resolved.is_process:
-        states, counts = run_chain_blocks(
-            instance,
-            JVV_KERNEL.name,
-            steps,
-            seeds,
-            initial=initial,
-            n_workers=resolved.n_workers,
-            stats=True,
-        )
-        return states, list(counts)
-    if resolved.is_cluster:
-        states, counts = resolved.cluster_client().chain_samples(
+    if resolved.is_distributed:
+        states, counts = resolved._distributed("run_chain_blocks")(
             instance, JVV_KERNEL.name, steps, seeds, initial=initial, stats=True
         )
         return states, list(counts)

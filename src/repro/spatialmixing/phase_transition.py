@@ -70,7 +70,7 @@ def locality_required(
 
     resolved = resolve_runtime(runtime)
     if (
-        (resolved.is_process or resolved.is_cluster)
+        resolved.is_distributed
         and limit > 0
         and resolve_engine(engine) == "compiled"
     ):

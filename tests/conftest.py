@@ -141,12 +141,12 @@ def serial_reference():
         pytest.param("cluster", marks=pytest.mark.slow),
     ]
 )
-def conformance_runtime(request):
+def conformance_runtime(request, monkeypatch):
     """One Runtime per backend of the conformance matrix (torn down clean).
 
-    ``process`` uses a 2-worker pool (``inline_threshold=0`` so the small
-    conformance workloads exercise the real pool dispatch, not the
-    adaptive in-process guard); ``process-shm`` is the same pool over the
+    ``process`` uses a 2-worker pool (``INLINE_CHAIN_UPDATES`` patched to
+    0 so the small conformance workloads exercise the real pool dispatch,
+    not the adaptive in-process guard); ``process-shm`` is the same pool over the
     shared-memory transport; ``cluster`` serves two real TCP workers from
     daemon threads (the in-process idiom of ``tests/test_cluster.py``).
     """
@@ -173,12 +173,12 @@ def conformance_runtime(request):
             for worker in workers:
                 worker.close()
     elif backend in ("process", "process-shm"):
+        monkeypatch.setattr("repro.runtime.executor.INLINE_CHAIN_UPDATES", 0)
         with Runtime(
             "process",
             n_chains=CONFORMANCE_CHAINS,
             n_workers=2,
             transport="shm" if backend == "process-shm" else None,
-            inline_threshold=0,
         ) as runtime:
             yield runtime
     else:

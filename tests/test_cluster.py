@@ -140,12 +140,24 @@ class TestProtocol:
             right.close()
 
     def test_frame_limit_per_kind(self):
-        for kind in (protocol.HELLO, protocol.HEARTBEAT):
+        # ERROR is a control frame: workers cap their reports at 64 KiB.
+        for kind in (protocol.HELLO, protocol.HEARTBEAT, protocol.ERROR):
             assert protocol.frame_limit(kind) == protocol.MAX_CONTROL_FRAME_BYTES
-        # ERROR stays a data frame within PROTOCOL_VERSION 1: previous
-        # releases send untruncated traceback reports.
-        for kind in (protocol.SPEC, protocol.TASK, protocol.RESULT, protocol.ERROR):
+        for kind in (protocol.SPEC, protocol.TASK, protocol.RESULT):
             assert protocol.frame_limit(kind) == protocol.MAX_FRAME_BYTES
+
+    def test_oversize_error_frame_is_rejected_before_unpickling(self):
+        oversize = protocol.MAX_CONTROL_FRAME_BYTES + 1
+        left, right = socket.socketpair()
+        try:
+            left.sendall(struct.pack(">4sBQ", protocol.MAGIC, protocol.ERROR, oversize))
+            with pytest.raises(protocol.ProtocolError, match="exceeds"):
+                protocol.recv_message(right)
+            with pytest.raises(protocol.ProtocolError, match="refusing to send"):
+                protocol.send_message(left, protocol.ERROR, (None, "x" * oversize))
+        finally:
+            left.close()
+            right.close()
 
     def test_worker_error_reports_are_truncated(self):
         from repro.cluster.worker import _ERROR_TEXT_LIMIT, _error_text
@@ -208,6 +220,20 @@ class TestWorkerLoop:
             # The worker closes the rejected connection afterwards.
             with pytest.raises(protocol.ConnectionClosed):
                 protocol.recv_message(sock)
+
+    def test_version_1_hello_is_refused_with_an_attributed_error(self, inprocess_workers):
+        worker = inprocess_workers[0]
+        with socket.create_connection(worker.address, timeout=10) as sock:
+            hello = dict(protocol.hello_payload("coordinator"), version=1)
+            protocol.send_message(sock, protocol.HELLO, hello)
+            kind, (task_id, message) = protocol.recv_message(sock)
+            assert kind == protocol.ERROR and task_id is None
+            assert "protocol version mismatch: peer speaks 1" in message
+            with pytest.raises(protocol.ConnectionClosed):
+                protocol.recv_message(sock)
+        # A coordinator refuses a version-1 worker's HELLO the same way.
+        with pytest.raises(protocol.ProtocolError, match="peer speaks 1, this side speaks 2"):
+            protocol.check_hello(dict(protocol.hello_payload("worker"), version=1), "worker")
 
     def test_worker_survives_a_rejected_connection(self, inprocess_workers):
         worker = inprocess_workers[0]
@@ -286,7 +312,7 @@ class TestCoordinator:
                 # Reply strictly in reverse arrival order.
                 for task_id, kind_, args in reversed(received):
                     protocol.send_message(
-                        connection, protocol.RESULT, (task_id, f"answer-{args}")
+                        connection, protocol.RESULT, (task_id, f"answer-{args}", None)
                     )
                 # Hold the socket open until the coordinator hangs up.
                 try:
@@ -307,6 +333,43 @@ class TestCoordinator:
                     "answer-b",
                     "answer-c",
                 ]
+        finally:
+            listener.close()
+            thread.join(timeout=10)
+
+    def test_two_tuple_result_fails_the_worker_instead_of_hanging(self):
+        """A version-1 RESULT shape is a protocol error, not a dead reader."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def fake_worker():
+            connection, _ = listener.accept()
+            with connection:
+                protocol.recv_message(connection)
+                protocol.send_message(
+                    connection, protocol.HELLO, protocol.hello_payload("worker")
+                )
+                try:
+                    while True:
+                        kind, payload = protocol.recv_message(connection)
+                        if kind == protocol.TASK:
+                            protocol.send_message(
+                                connection, protocol.RESULT, (payload[0], "v1")
+                            )
+                except (protocol.ProtocolError, OSError):
+                    pass
+
+        thread = threading.Thread(target=fake_worker, daemon=True)
+        thread.start()
+        try:
+            with ClusterCoordinator(
+                [listener.getsockname()[:2]], reconnect=False
+            ) as coordinator:
+                future = coordinator.submit_task("ping", "x")
+                with pytest.raises(ClusterError, match="malformed RESULT"):
+                    future.result(timeout=30)
+                assert coordinator.live_worker_count == 0
         finally:
             listener.close()
             thread.join(timeout=10)
@@ -333,7 +396,7 @@ class TestCoordinator:
             # ping must not wait ~5 extra seconds behind work nobody wants.
             blocker = coordinator.submit(time.sleep, 1.0)
             sleeps = [coordinator.submit(time.sleep, 1.0) for _ in range(5)]
-            coordinator._discard(sleeps)
+            coordinator.discard(sleeps)
             assert coordinator.submit_task("ping", "after").result(timeout=30) == (
                 "after"
             )
@@ -408,16 +471,6 @@ class TestClusterStreams:
             assert list(coordinator.stream_ball_marginal_tasks(instance, [])) == []
             assert list(coordinator.stream_compiled_balls(instance, [])) == []
 
-    def test_failed_shard_surfaces_clean_error(self, inprocess_workers):
-        instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            with pytest.raises(RuntimeError, match="ball shard failed"):
-                list(
-                    coordinator.stream_ball_marginal_tasks(
-                        instance, [("no-such-node", 1)]
-                    )
-                )
-
     def test_chain_blocks_match_serial(self, inprocess_workers):
         from repro.runtime import chain_seed_sequences
         from repro.sampling.glauber import glauber_sample, luby_glauber_sample
@@ -425,9 +478,8 @@ class TestClusterStreams:
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 1})
         seeds = chain_seed_sequences(3, 5)
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            # Legacy block-kind aliases keep working on the kernel path.
             glauber = coordinator.chain_samples(instance, "glauber", 60, seeds)
-            luby = coordinator.chain_samples(instance, "luby", 12, seeds)
+            luby = coordinator.chain_samples(instance, "luby-glauber", 12, seeds)
         assert glauber == [glauber_sample(instance, 60, seed=seed) for seed in seeds]
         assert luby == [luby_glauber_sample(instance, 12, seed=seed) for seed in seeds]
 
@@ -583,11 +635,11 @@ class TestClusterRuntimeFacade:
                 instance, 0.05
             )
             # Chains under engine="dict" likewise stay in-process.
-            serial = Runtime("serial", n_chains=2).glauber_sample(
-                instance, 20, seed=1, engine="dict"
+            serial = Runtime("serial", n_chains=2).run_chains(
+                "glauber", instance, 20, seed=1, engine="dict"
             )
             runtime.n_chains = 2
-            assert runtime.glauber_sample(instance, 20, seed=1, engine="dict") == serial
+            assert runtime.run_chains("glauber", instance, 20, seed=1, engine="dict") == serial
 
     # The every-kernel run_chains sweep on the cluster backend lives in
     # the conformance harness (tests/test_conformance.py).

@@ -11,18 +11,20 @@ The contract of :mod:`repro.obs` is threefold:
 * **spans stitch across processes** -- pool workers and cluster workers
   continue the coordinator's trace context (pool initargs / the ``_obs``
   field inside the TASK payload), so one run yields one trace id across
-  every participating pid, while peers without the field keep the legacy
-  frame shapes.
+  every participating pid, while tasks without the field ship no events.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import queue
 
 import pytest
 
 from repro import obs
+from repro.cluster import protocol
+from repro.cluster import worker as worker_module
 from repro.cluster.local import spawn_workers
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph
@@ -30,7 +32,7 @@ from repro.models import coloring_model, hardcore_model
 from repro.obs import logs as obs_logs
 from repro.obs.cli import main as trace_cli
 from repro.obs.trace import TraceContext, validate_event, validate_events
-from repro.runtime import Runtime
+from repro.runtime import Runtime, executor
 
 
 @pytest.fixture(autouse=True)
@@ -292,13 +294,12 @@ class TestBitIdentity:
         assert observed == expected
         assert obs.active() is None  # shutdown released the owned handle
 
-    def test_process_backend_stitches_pool_worker_spans(self):
+    def test_process_backend_stitches_pool_worker_spans(self, monkeypatch):
         instance = SamplingInstance(coloring_model(cycle_graph(8), 3), {0: 0})
-        # inline_threshold=0: this small workload must reach the real pool
-        # (the point is the worker-side spans), not the in-process guard.
-        runtime = Runtime(
-            backend="process", n_chains=2, n_workers=2, obs=True, inline_threshold=0
-        )
+        # No inline guard: this small workload must reach the real pool
+        # (the point is the worker-side spans), not the in-process path.
+        monkeypatch.setattr(executor, "INLINE_CHAIN_UPDATES", 0)
+        runtime = Runtime(backend="process", n_chains=2, n_workers=2, obs=True)
         try:
             runtime.run_chains("glauber", instance, 25, seeds=range(4))
             events = obs.events()
@@ -344,11 +345,19 @@ class TestClusterTracing:
                 assert "worker.task" in names  # worker-side span shipped back
                 validate_events(events)
 
-                # A no-context frame while tracing is on: the worker must
-                # answer with the legacy 2-tuple RESULT (events is None on
-                # the worker side), and the echo resolves normally.
-                future = traced._cluster.submit_task("ping", ("legacy",))
-                assert future.result(timeout=30) == ("legacy",)
+                # A no-context frame while tracing is on: the worker
+                # answers with the 3-tuple RESULT carrying events=None, and
+                # the echo resolves normally.
+                future = traced._cluster.submit_task("ping", ("untraced",))
+                assert future.result(timeout=30) == ("untraced",)
+                tasks = queue.Queue()
+                tasks.put((7, "ping", ("untraced",), None))
+                tasks.put(worker_module._STOP)
+                sent = []
+                worker_module.ClusterWorker._run_tasks(
+                    tasks, {}, set(), lambda kind, payload: sent.append((kind, payload))
+                )
+                assert sent == [(protocol.RESULT, (7, ("untraced",), None))]
 
                 snap = traced.snapshot()
                 assert snap["cluster"]["live_workers"] == 2

@@ -27,18 +27,16 @@ from repro.runtime import (
     ChainBatch,
     InstanceSpec,
     Runtime,
-    batched_glauber_sample,
-    batched_luby_glauber_sample,
+    batched_kernel_sample,
     chain_seed_sequences,
     resolve_runtime,
-    shard_compiled_balls,
-    shard_padded_ball_marginals,
     stream_ball_marginal_tasks,
     stream_compiled_balls,
     stream_padded_ball_marginals,
 )
-from repro.runtime.shards import _ball_marginal_chunk, _chunk_tasks
-from repro.sampling.glauber import _RNG_CHUNK, glauber_sample, luby_glauber_sample
+from repro.runtime.shards import _ball_marginals_task, _chunk_tasks
+from repro.sampling.glauber import glauber_sample, luby_glauber_sample
+from repro.sampling.kernels import RNG_CHUNK
 
 
 def _instances():
@@ -64,20 +62,20 @@ class TestBatchedChainDeterminism:
     def test_glauber_bit_identical(self, label, instance):
         seeds = chain_seed_sequences(7, 5)
         serial = [glauber_sample(instance, 137, seed=seed) for seed in seeds]
-        batched = batched_glauber_sample(instance, 137, seeds=seeds)
+        batched = batched_kernel_sample("glauber", instance, 137, seeds=seeds)
         assert batched == serial
 
     def test_luby_glauber_bit_identical(self, label, instance):
         seeds = chain_seed_sequences(11, 5)
         serial = [luby_glauber_sample(instance, 23, seed=seed) for seed in seeds]
-        batched = batched_luby_glauber_sample(instance, 23, seeds=seeds)
+        batched = batched_kernel_sample("luby-glauber", instance, 23, seeds=seeds)
         assert batched == serial
 
     def test_integer_seeds_match_serial(self, label, instance):
         # E12 seeds its serial chains with plain integers; explicit seeds
         # reproduce that exactly.
         serial = [luby_glauber_sample(instance, 12, seed=seed) for seed in range(4)]
-        batched = batched_luby_glauber_sample(instance, 12, seeds=range(4))
+        batched = batched_kernel_sample("luby-glauber", instance, 12, seeds=range(4))
         assert batched == serial
 
 
@@ -85,14 +83,14 @@ class TestBatchedChainEdges:
     def test_rng_chunk_boundary_is_respected(self):
         instance = SamplingInstance(hardcore_model(path_graph(5), 1.0))
         seeds = chain_seed_sequences(0, 3)
-        steps = _RNG_CHUNK + 37
+        steps = RNG_CHUNK + 37
         serial = [glauber_sample(instance, steps, seed=seed) for seed in seeds]
-        assert batched_glauber_sample(instance, steps, seeds=seeds) == serial
+        assert batched_kernel_sample("glauber", instance, steps, seeds=seeds) == serial
 
     def test_spawned_seed_convention(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        from_root = batched_glauber_sample(instance, 50, n_chains=4, seed=9)
-        explicit = batched_glauber_sample(
+        from_root = batched_kernel_sample("glauber", instance, 50, n_chains=4, seed=9)
+        explicit = batched_kernel_sample("glauber", 
             instance, 50, seeds=chain_seed_sequences(9, 4)
         )
         assert from_root == explicit
@@ -100,7 +98,7 @@ class TestBatchedChainEdges:
     def test_zero_steps_returns_initial(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         initial = glauber_sample(instance, 0, seed=0)
-        batch = batched_glauber_sample(instance, 0, n_chains=3, seed=1, initial=initial)
+        batch = batched_kernel_sample("glauber", instance, 0, n_chains=3, seed=1, initial=initial)
         assert batch == [initial] * 3
 
     def test_dict_engine_rejected(self):
@@ -121,24 +119,24 @@ class TestBatchedChainEdges:
         distribution = hardcore_model(path_graph(3), 1.0)
         instance = SamplingInstance(distribution, {0: 0, 1: 1, 2: 0})
         batch = ChainBatch(instance, n_chains=2, seed=0)
-        batch.glauber_steps(10)
+        batch.advance("glauber", 10)
         assert batch.configurations() == [{0: 0, 1: 1, 2: 0}] * 2
 
     def test_chain_kinds_cannot_be_mixed_on_one_batch(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         batch = ChainBatch(instance, n_chains=2, seed=0)
-        batch.luby_rounds(3)
+        batch.advance("luby-glauber", 3)
         with pytest.raises(RuntimeError):
-            batch.glauber_steps(3)
+            batch.advance("glauber", 3)
         other = ChainBatch(instance, n_chains=2, seed=0)
-        other.glauber_steps(3)
+        other.advance("glauber", 3)
         with pytest.raises(RuntimeError):
-            other.luby_rounds(3)
+            other.advance("luby-glauber", 3)
 
     def test_luby_trace_shape(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
         batch = ChainBatch(instance, n_chains=6, seed=2)
-        traces = batch.luby_rounds(15, statistic=lambda codes: codes.mean(axis=1))
+        traces = batch.advance("luby-glauber", 15, statistic=lambda codes: codes.mean(axis=1))
         assert traces.shape == (6, 15)
         assert np.all(traces >= 0.0) and np.all(traces <= 1.0)
 
@@ -227,8 +225,8 @@ class TestRuntimeFacade:
 
     def test_serial_and_batched_runtimes_agree(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
-        serial = Runtime("serial", n_chains=3).glauber_sample(instance, 60, seed=5)
-        batched = Runtime("batched", n_chains=3).glauber_sample(instance, 60, seed=5)
+        serial = Runtime("serial", n_chains=3).run_chains("glauber", instance, 60, seed=5)
+        batched = Runtime("batched", n_chains=3).run_chains("glauber", instance, 60, seed=5)
         assert serial == batched
 
     def test_sampler_runtime_parameter(self):
@@ -270,7 +268,7 @@ class TestStreamingMerge:
         spec = InstanceSpec.from_instance(instance)
         tasks = [(center, radius) for center in instance.free_nodes]
         return [
-            _ball_marginal_chunk(chunk, 64, spec=spec)
+            _ball_marginals_task({"tasks": chunk, "memo_cap": 64}, spec=spec)
             for chunk in _chunk_tasks(tasks, n_workers=2, chunk_size=2)
         ]
 
@@ -315,7 +313,7 @@ class TestStreamingMerge:
         instance = SamplingInstance(distribution, {0: 1})
         spec = InstanceSpec.from_instance(instance)
         tasks = [(node, 1) for node in instance.free_nodes]
-        _, _, _, capped = _ball_marginal_chunk(tasks, 0, spec=spec)
+        _, _, _, capped = _ball_marginals_task({"tasks": tasks, "memo_cap": 0}, spec=spec)
         assert capped == {}
         compiled = distribution.compiled_engine()
         for node in list(distribution.nodes)[:4]:
@@ -414,8 +412,8 @@ class TestProcessPool:
     def test_shard_padded_ball_marginals_matches_serial(self):
         distribution = coloring_model(cycle_graph(10), 3)
         instance = SamplingInstance(distribution, {0: 1})
-        sharded = shard_padded_ball_marginals(
-            instance, instance.free_nodes, 2, n_workers=2
+        sharded = dict(
+            stream_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2)
         )
         serial = {
             node: padded_ball_marginal(instance, node, 2)
@@ -429,7 +427,7 @@ class TestProcessPool:
         distribution = hardcore_model(random_tree(16, seed=1), 1.0)
         instance = SamplingInstance(distribution)
         tasks = [(node, 2) for node in list(distribution.nodes)[:6]]
-        balls = shard_compiled_balls(instance, tasks, n_workers=2)
+        balls = dict(stream_compiled_balls(instance, tasks, n_workers=2))
         assert set(balls) == set(tasks)
         cache = distribution.ball_cache()
         for center, radius in tasks:
@@ -462,9 +460,9 @@ class TestProcessPool:
 
     def test_process_runtime_chain_sampling_matches_serial(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
-        serial = Runtime("serial", n_chains=3).luby_glauber_sample(instance, 10, seed=4)
-        process = Runtime("process", n_chains=3, n_workers=2).luby_glauber_sample(
-            instance, 10, seed=4
+        serial = Runtime("serial", n_chains=3).run_chains("luby-glauber", instance, 10, seed=4)
+        process = Runtime("process", n_chains=3, n_workers=2).run_chains(
+            "luby-glauber", instance, 10, seed=4
         )
         assert process == serial
 
@@ -474,7 +472,7 @@ class TestProcessPool:
         # only the latter should come back and be adopted.
         distribution = hardcore_model(cycle_graph(10), 1.0)
         instance = SamplingInstance(distribution)
-        shard_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2)
+        dict(stream_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2))
         locality = distribution.locality()
         adopted = set(distribution.ball_cache()._compiled)
         assert adopted == {(node, 2 + locality) for node in instance.free_nodes}
@@ -520,25 +518,6 @@ class TestProcessPool:
             if (node, 2 + locality) in cache._compiled
         ]
         assert warmed and any(len(ball._marginal_memo) > 0 for ball in warmed)
-
-    def test_failed_shard_surfaces_clean_error(self):
-        instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
-        tasks = [(node, 1) for node in (0, 1)] + [("no-such-node", 1), (2, 1)]
-        with pytest.raises(RuntimeError, match="ball shard failed"):
-            list(
-                stream_ball_marginal_tasks(
-                    instance, tasks, n_workers=2, chunk_size=1
-                )
-            )
-
-    def test_abandoning_the_stream_cancels_cleanly(self):
-        distribution = coloring_model(cycle_graph(12), 3)
-        instance = SamplingInstance(distribution, {0: 1})
-        stream = stream_padded_ball_marginals(
-            instance, instance.free_nodes, 2, n_workers=2, chunk_size=1
-        )
-        next(stream)
-        stream.close()  # must not hang on the pending futures
 
     def test_map_unordered_process_covers_all_items(self):
         runtime = Runtime("process", n_workers=2)
@@ -745,11 +724,24 @@ class TestAdaptiveDispatchGuard:
         # The guard never spun the pool up (3 * 40 updates << threshold).
         assert runtime._pool is None
 
-    def test_threshold_zero_disables_the_guard(self):
-        runtime = Runtime("process", n_workers=2, inline_threshold=0)
-        assert runtime.inline_threshold == 0
-        with pytest.raises(ValueError):
-            Runtime("process", inline_threshold=-1)
+    def test_patched_threshold_zero_disables_the_guard(self, monkeypatch):
+        from repro import obs
+        from repro.runtime import executor
+
+        monkeypatch.setattr(executor, "INLINE_CHAIN_UPDATES", 0)
+        instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.2), {0: 1})
+        obs.enable()
+        try:
+            states = Runtime("process", n_chains=3, n_workers=2).run_chains(
+                "glauber", instance, 40, seed=6
+            )
+            names = {event.get("name") for event in obs.events()}
+        finally:
+            obs.disable()
+        assert "runtime.dispatch.inline" not in names
+        assert states == Runtime("serial", n_chains=3).run_chains(
+            "glauber", instance, 40, seed=6
+        )
 
     def test_inline_dispatch_emits_the_obs_instant(self):
         from repro import obs
@@ -857,7 +849,7 @@ class TestKernelRunChains:
     The full kernel x backend bit-identity matrix lives in the parametrized
     conformance harness (``tests/test_conformance.py``); this class keeps
     the path's API semantics (kernel resolution, engine degradation,
-    deprecated wrappers, chain-block task bodies).
+    chain-block task bodies).
     """
 
     def _instance(self):
@@ -887,16 +879,6 @@ class TestKernelRunChains:
             )
             == reference
         )
-
-    def test_backcompat_wrappers_deprecate_but_delegate(self):
-        instance = self._instance()
-        runtime = Runtime("batched", n_chains=3)
-        with pytest.deprecated_call():
-            old_glauber = runtime.glauber_sample(instance, 20, seed=5)
-        assert old_glauber == runtime.run_chains("glauber", instance, 20, seed=5)
-        with pytest.deprecated_call():
-            old_luby = runtime.luby_glauber_sample(instance, 6, seed=5)
-        assert old_luby == runtime.run_chains("luby-glauber", instance, 6, seed=5)
 
     def test_chain_batch_advance_claims_one_kernel(self):
         instance = self._instance()
@@ -930,18 +912,6 @@ class TestKernelRunChains:
         assert _chain_block_task(payload, spec=spec) == [
             kernel.serial_run(instance, 13, seed=seed) for seed in seeds
         ]
-
-    def test_chain_block_accepts_legacy_kind_payloads(self):
-        from repro.runtime.shards import _chain_block_task
-
-        instance = self._instance()
-        seeds = chain_seed_sequences(8, 2)
-        spec = InstanceSpec.from_instance(instance)
-        legacy = {"kind": "luby", "count": 5, "seeds": seeds, "initial": None}
-        assert _chain_block_task(legacy, spec=spec) == [
-            luby_glauber_sample(instance, 5, seed=seed) for seed in seeds
-        ]
-
 
 class TestRunChainsState:
     """Resumable chain state (ISSUE 9 satellite): split runs == one run... per layout."""
